@@ -5,8 +5,9 @@
 //   - steady-state step time (the baseline everything is relative to),
 //   - Checkpoint(dir) latency (pipeline drain + state gather + two-phase
 //     commit to disk) and the on-disk checkpoint size,
-//   - ResumeFrom(dir) latency (corpus re-materialization + loader rewind +
-//     plan-journal replay) split against a cold fresh-session build.
+//   - resume latency (a session created with resume_dir: corpus
+//     re-materialization + loader rewind + plan-journal replay) split
+//     against a cold fresh-session build.
 //
 // `--smoke` runs a small scenario and exits nonzero if the resumed session's
 // batches are not byte-identical to an uninterrupted run — the durability

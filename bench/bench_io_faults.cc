@@ -192,25 +192,6 @@ int RunRetryAbsorption(const Scenario& s) {
   return failures;
 }
 
-// One shim step for every rank (depth 0: production happens inside
-// AdvanceStep, so brownout windows map exactly onto steps).
-bool ShimStep(Session& session) {
-  Status advanced = session.AdvanceStep();
-  if (!advanced.ok()) {
-    std::printf("  step failed: %s\n", advanced.ToString().c_str());
-    return false;
-  }
-  const int32_t world = session.tree().spec().WorldSize();
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.GetBatch(rank);
-    if (!batch.ok()) {
-      std::printf("  batch failed for rank %d: %s\n", rank, batch.status().ToString().c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 int RunBrownoutQuarantine(const Scenario& s) {
   bench::PrintHeader(
       std::string("storage chaos — brownout quarantine — ") + s.label,
@@ -225,7 +206,8 @@ int RunBrownoutQuarantine(const Scenario& s) {
   options.max_seq_len = 2048;
   options.rows_per_file_override = s.rows_per_file;
   options.loader_workers = 1;
-  options.prefetch_depth = 0;  // brownout windows align with step boundaries
+  options.prefetch_depth = 0;  // rank 0's pull produces each step inline, so
+                               // brownout windows align with step boundaries
   options.row_group_bytes = s.row_group_bytes;
   options.block_cache_bytes = 256 * kMiB;
   options.storage_faults.install = true;  // healthy store, scriptable brownout
@@ -242,13 +224,13 @@ int RunBrownoutQuarantine(const Scenario& s) {
   int failures = 0;
   int64_t steps_delivered = 0;
   for (int step = 0; step < 2; ++step) {
-    failures += ShimStep(**session) ? 0 : 1;
+    StreamStep(**session, &failures);
     ++steps_delivered;
   }
   (*session)->fault_store()->set_brownout(true);
   for (int step = 0; step < 2; ++step) {
     // The gate: these steps must keep flowing on the degraded mixture.
-    failures += ShimStep(**session) ? 0 : 1;
+    StreamStep(**session, &failures);
     ++steps_delivered;
   }
   std::map<int32_t, int64_t> quarantined = (*session)->QuarantinedLoaders();
@@ -261,7 +243,7 @@ int RunBrownoutQuarantine(const Scenario& s) {
   }
   (*session)->fault_store()->set_brownout(false);
   for (int step = 0; step < 5; ++step) {
-    failures += ShimStep(**session) ? 0 : 1;
+    StreamStep(**session, &failures);
     ++steps_delivered;
   }
   std::map<int32_t, int64_t> after = (*session)->QuarantinedLoaders();

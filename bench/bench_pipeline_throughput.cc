@@ -1,19 +1,20 @@
-// Pipeline throughput: streaming per-rank DataClients over the prefetch
-// pipeline versus the deprecated lockstep shim (AdvanceStep/GetBatch at
-// depth 0), end to end through the public Session API.
+// Pipeline throughput: streaming per-rank DataClients at prefetch depths
+// 0 (lockstep), 1, 2 and 4, end to end through the public Session API.
 //
-// Each arm runs the same synthetic training loop — every rank fetches its
-// batch and burns a fixed per-token "training compute" budget — and reports
-// steady-state tokens/s. The lockstep arm serializes production with
-// consumption; the pipelined arms (depths 1, 2, 4) overlap plan+pop+build of
-// steps N+1..N+depth with the consumption of step N, which is the paper's
+// Each arm runs the same synthetic training loop — every rank streams its
+// batches through its DataClient, burns a fixed per-token "training compute"
+// budget and waits for the other ranks — and reports steady-state tokens/s.
+// At depth 0 the first rank to pull a step produces it inline, so production
+// is serialized with consumption; the pipelined arms overlap plan+pop+build
+// of steps N+1..N+depth with the consumption of step N, which is the paper's
 // "the data path must never be the bottleneck" property surfaced at the API.
 //
 // `--smoke` runs a small scenario and exits nonzero if
-//   - the pipelined session copies a Sample anywhere on the hot path, or
-//   - batches served at depth 2 are not byte-identical to the lockstep shim.
+//   - any session copies a Sample anywhere on the hot path, or
+//   - batches served at depth 2 are not byte-identical to depth 0.
 // Wired into ctest so the streaming path can never silently rot.
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -91,49 +92,17 @@ struct ArmResult {
   std::vector<PrefetchPipeline::RankStall> rank_stalls;
 };
 
-// Lockstep arm: AdvanceStep serializes plan+pop+build with consumption; the
-// per-rank fetch+compute still runs data-parallel, as real trainers would.
-ArmResult RunLockstep(const Scenario& s) {
-  auto session = Session::Create(MakeOptions(s, /*depth=*/0));
-  MSD_CHECK(session.ok());
-  const int32_t world = s.spec.WorldSize();
-  std::vector<int64_t> tokens(static_cast<size_t>(world), 0);
-  ResetSampleCopyCount();
-  auto t0 = std::chrono::steady_clock::now();
-  for (int step = 0; step < s.steps; ++step) {
-    MSD_CHECK((*session)->AdvanceStep().ok());
-    std::vector<std::thread> ranks;
-    for (int32_t rank = 0; rank < world; ++rank) {
-      ranks.emplace_back([&, rank] {
-        Result<RankBatch> batch = (*session)->GetBatch(rank);
-        MSD_CHECK(batch.ok());
-        tokens[static_cast<size_t>(rank)] += TrainCompute(batch.value(), s.compute_reps);
-      });
-    }
-    for (std::thread& t : ranks) {
-      t.join();
-    }
-  }
-  double elapsed = Seconds(t0);
-  ArmResult r;
-  for (int64_t t : tokens) {
-    r.tokens_total += t;
-  }
-  r.tokens_per_sec = static_cast<double>(r.tokens_total) / elapsed;
-  r.sample_copies = SampleCopyCount();
-  PrefetchPipeline::Stats stats = (*session)->pipeline_stats();
-  r.hits = stats.prefetch_hits;
-  r.stalls = stats.prefetch_stalls;
-  return r;
-}
-
-// Pipelined arm: one persistent consumer thread per rank streaming through
-// its DataClient while the pipeline builds ahead.
-ArmResult RunPipelined(const Scenario& s, int32_t depth) {
+// One arm: a persistent consumer thread per rank streaming through its
+// DataClient while the pipeline builds `depth` steps ahead. Ranks meet at a
+// barrier after each step, as data-parallel ranks do at the gradient
+// all-reduce. At depth 0 the barrier is also what keeps a fast rank from
+// producing steps ahead of a slow one: nothing else bounds the window there.
+ArmResult RunArm(const Scenario& s, int32_t depth) {
   auto session = Session::Create(MakeOptions(s, depth));
   MSD_CHECK(session.ok());
   const int32_t world = s.spec.WorldSize();
   std::vector<int64_t> tokens(static_cast<size_t>(world), 0);
+  std::barrier all_reduce(world);
   ResetSampleCopyCount();
   auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> ranks;
@@ -144,6 +113,7 @@ ArmResult RunPipelined(const Scenario& s, int32_t depth) {
         Result<RankBatch> batch = client->NextBatch();
         MSD_CHECK(batch.ok());
         tokens[static_cast<size_t>(rank)] += TrainCompute(batch.value(), s.compute_reps);
+        all_reduce.arrive_and_wait();
       }
     });
   }
@@ -165,20 +135,19 @@ ArmResult RunPipelined(const Scenario& s, int32_t depth) {
 }
 
 // Byte-identity gate: every batch of a depth-2 streaming session must equal
-// the lockstep shim's, step for step, rank for rank.
+// the depth-0 session's, step for step, rank for rank.
 int CheckEquivalence(const Scenario& s) {
   auto lockstep = Session::Create(MakeOptions(s, 0));
   auto pipelined = Session::Create(MakeOptions(s, 2));
   MSD_CHECK(lockstep.ok() && pipelined.ok());
   int failures = 0;
   for (int step = 0; step < 2; ++step) {
-    MSD_CHECK((*lockstep)->AdvanceStep().ok());
     for (int32_t rank = 0; rank < s.spec.WorldSize(); ++rank) {
-      Result<RankBatch> want = (*lockstep)->GetBatch(rank);
+      Result<RankBatch> want = (*lockstep)->client(rank).value()->NextBatch();
       Result<RankBatch> got = (*pipelined)->client(rank).value()->NextBatch();
       MSD_CHECK(want.ok() && got.ok());
       if (!bench::BatchesIdentical(got.value(), want.value())) {
-        std::printf("  FAIL: step %d rank %d diverged from the lockstep shim\n", step, rank);
+        std::printf("  FAIL: step %d rank %d diverged from depth 0\n", step, rank);
         ++failures;
       }
     }
@@ -189,23 +158,24 @@ int CheckEquivalence(const Scenario& s) {
 int RunScenario(const Scenario& s, bool smoke) {
   bench::PrintHeader(
       std::string("pipeline throughput — ") + s.label,
-      "streaming DataClients hide plan+pop+build behind training compute; the "
-      "lockstep shim pays it serially every step");
+      "streaming DataClients hide plan+pop+build behind training compute; at "
+      "depth 0 it is paid serially every step");
   std::printf("  sources=%d mesh={dp=%d pp=%d cp=%d tp=%d} samples/step=%lld steps=%d\n",
               s.num_sources, s.spec.dp, s.spec.pp, s.spec.cp, s.spec.tp,
               static_cast<long long>(s.samples_per_step), s.steps);
 
-  ArmResult lockstep = RunLockstep(s);
-  bench::PrintRow("lockstep shim (depth 0)", lockstep.tokens_per_sec / 1e6, "Mtok/s");
-
   int failures = 0;
+  double lockstep_tokens_per_sec = 0.0;
   double depth2_tokens_per_sec = 0.0;
-  for (int32_t depth : {1, 2, 4}) {
-    ArmResult arm = RunPipelined(s, depth);
-    std::string label = "pipelined DataClient (depth " + std::to_string(depth) + ")";
+  for (int32_t depth : {0, 1, 2, 4}) {
+    ArmResult arm = RunArm(s, depth);
+    if (depth == 0) {
+      lockstep_tokens_per_sec = arm.tokens_per_sec;
+    }
+    std::string label = "DataClient (depth " + std::to_string(depth) + ")";
     bench::PrintRow(label.c_str(), arm.tokens_per_sec / 1e6, "Mtok/s");
     std::printf("      speedup %.2fx, %lld hits / %lld stalls\n",
-                arm.tokens_per_sec / lockstep.tokens_per_sec,
+                arm.tokens_per_sec / lockstep_tokens_per_sec,
                 static_cast<long long>(arm.hits), static_cast<long long>(arm.stalls));
     // Per-rank stall histogram: stalled/total pulls and cumulative wait.
     for (size_t rank = 0; rank < arm.rank_stalls.size(); ++rank) {
@@ -218,14 +188,14 @@ int RunScenario(const Scenario& s, bool smoke) {
       depth2_tokens_per_sec = arm.tokens_per_sec;
     }
     if (arm.sample_copies != 0) {
-      std::printf("  FAIL: pipelined arm performed %lld Sample deep copies\n",
+      std::printf("  FAIL: depth-%d arm performed %lld Sample deep copies\n", depth,
                   static_cast<long long>(arm.sample_copies));
       ++failures;
     }
   }
   failures += CheckEquivalence(s);
-  if (!smoke && depth2_tokens_per_sec <= lockstep.tokens_per_sec) {
-    std::printf("  WARN: depth-2 pipeline did not beat the lockstep shim\n");
+  if (!smoke && depth2_tokens_per_sec <= lockstep_tokens_per_sec) {
+    std::printf("  WARN: depth-2 pipeline did not beat depth 0\n");
   }
   return failures;
 }

@@ -17,14 +17,14 @@ int main() {
       {6, {1, 1, 1, 6, 6, 6}},   // late: mostly hard
   });
 
-  auto session = msd::SessionBuilder()
-                     .WithCorpus(corpus)
-                     .WithMesh({.dp = 2, .pp = 1, .cp = 1, .tp = 1})
-                     .WithSamplesPerStep(12)
-                     .WithSchedule(schedule)
-                     .WithRowsPerFile(64)
-                     .WithPrefetchDepth(2)
-                     .Build();
+  msd::Session::Options options;
+  options.corpus = corpus;
+  options.spec = {.dp = 2, .pp = 1, .cp = 1, .tp = 1};
+  options.samples_per_step = 12;
+  options.schedule = schedule;
+  options.rows_per_file_override = 64;
+  options.prefetch_depth = 2;
+  auto session = msd::Session::Create(std::move(options));
   MSD_CHECK(session.ok());
 
   // The online scaler watches the same schedule the Planner samples from.

@@ -9,7 +9,7 @@
 // Act 2 — durable recovery (src/checkpoint/): the whole process dies. A
 // checkpoint written earlier to disk carries the planner RNG + plan journal,
 // every loader's read cursor + consumed-id set, and the per-rank stream
-// positions; SessionBuilder::ResumeFrom() rebuilds a brand-new Session that
+// positions; Session::Options::resume_dir rebuilds a brand-new Session that
 // continues the exact byte stream — here even on a *different* mesh
 // (cp 1 -> 2), the elastic-resume path.
 #include <cstdio>
@@ -33,17 +33,18 @@ int64_t StreamOneStep(msd::Session& session) {
   return rank0_payload;
 }
 
-msd::SessionBuilder ConfiguredBuilder(const msd::ParallelismSpec& mesh,
-                                      const std::string& gcs_dir) {
-  return std::move(msd::SessionBuilder()
-                       .WithCorpus(msd::MakeCoyo700m())
-                       .WithMesh(mesh)
-                       .WithSamplesPerStep(12)
-                       .WithRowsPerFile(96)
-                       .WithFaultTolerance()
-                       .WithSnapshotInterval(2)
-                       .WithDurableGcs(gcs_dir)  // journal survives the process
-                       .WithPrefetchDepth(2));
+msd::Session::Options ConfiguredOptions(const msd::ParallelismSpec& mesh,
+                                       const std::string& gcs_dir) {
+  msd::Session::Options options;
+  options.corpus = msd::MakeCoyo700m();
+  options.spec = mesh;
+  options.samples_per_step = 12;
+  options.rows_per_file_override = 96;
+  options.enable_fault_tolerance = true;
+  options.loader_snapshot_interval = 2;
+  options.gcs_spill_dir = gcs_dir;  // journal survives the process
+  options.prefetch_depth = 2;
+  return options;
 }
 
 }  // namespace
@@ -56,7 +57,8 @@ int main() {
   std::filesystem::remove_all(gcs_dir);
 
   {
-    auto session = ConfiguredBuilder({.dp = 2, .pp = 1, .cp = 1, .tp = 1}, gcs_dir).Build();
+    auto session =
+        msd::Session::Create(ConfiguredOptions({.dp = 2, .pp = 1, .cp = 1, .tp = 1}, gcs_dir));
     MSD_CHECK(session.ok());
     std::printf("running with %zu primaries + hot shadows (snapshot every 2 steps), "
                 "prefetch depth 2\n",
@@ -94,10 +96,11 @@ int main() {
 
   // "Process restart": a brand-new Session resumes the stream from disk —
   // on a different mesh (cp 1 -> 2 doubles the world) and a deeper pipeline.
-  auto resumed = ConfiguredBuilder({.dp = 2, .pp = 1, .cp = 2, .tp = 1}, gcs_dir)
-                     .WithPrefetchDepth(3)
-                     .ResumeFrom(ckpt_dir)
-                     .Build();
+  msd::Session::Options resume =
+      ConfiguredOptions({.dp = 2, .pp = 1, .cp = 2, .tp = 1}, gcs_dir);
+  resume.prefetch_depth = 3;
+  resume.resume_dir = ckpt_dir;
+  auto resumed = msd::Session::Create(std::move(resume));
   MSD_CHECK(resumed.ok());
   std::printf("=> resumed on a resharded mesh (cp 2, world %d) at the committed step; "
               "journaled in-flight plans replay against the new topology\n",

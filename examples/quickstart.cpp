@@ -3,8 +3,8 @@
 // actors), and stream real, packed, parallelism-transformed batches through
 // per-rank DataClient handles while the prefetch pipeline builds ahead.
 //
-//   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   cmake -B build -S . && cmake --build build
+//   ./build/example_quickstart
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -31,16 +31,16 @@ void RunRank(msd::DataClient* client, int steps, int64_t* tokens_out) {
 }  // namespace
 
 int main() {
-  auto session = msd::SessionBuilder()
-                     .WithCorpus(msd::MakeCoyo700m())  // 5 image-text sources
-                     .WithMesh({.dp = 2, .pp = 1, .cp = 1, .tp = 1})
-                     .WithMicrobatches(2)
-                     .WithSamplesPerStep(16)
-                     .WithMaxSeqLen(2048)
-                     .WithStrategy(msd::Session::StrategyKind::kBackboneBalance)
-                     .WithRowsPerFile(64)
-                     .WithPrefetchDepth(2)
-                     .Build();
+  msd::Session::Options options;
+  options.corpus = msd::MakeCoyo700m();  // 5 image-text sources
+  options.spec = {.dp = 2, .pp = 1, .cp = 1, .tp = 1};
+  options.num_microbatches = 2;
+  options.samples_per_step = 16;
+  options.max_seq_len = 2048;
+  options.strategy = msd::Session::StrategyKind::kBackboneBalance;
+  options.rows_per_file_override = 64;
+  options.prefetch_depth = 2;
+  auto session = msd::Session::Create(std::move(options));
   if (!session.ok()) {
     std::fprintf(stderr, "session creation failed: %s\n",
                  session.status().ToString().c_str());
@@ -81,36 +81,15 @@ int main() {
   std::printf("async pull served step %lld for rank 0\n",
               static_cast<long long>(async_batch->step));
 
-  // ------------------------------------------------------------------
-  // Deprecated lockstep loop (AdvanceStep/GetBatch), kept as a migration
-  // reference. It is a shim over the same pipeline and serves byte-identical
-  // batches; new code should stream through client(rank) instead.
-  // ------------------------------------------------------------------
-  auto legacy = msd::SessionBuilder()
-                    .WithCorpus(msd::MakeCoyo700m())
-                    .WithMesh({.dp = 2, .pp = 1, .cp = 1, .tp = 1})
-                    .WithMicrobatches(2)
-                    .WithSamplesPerStep(16)
-                    .WithMaxSeqLen(2048)
-                    .WithRowsPerFile(64)
-                    .Build();
-  MSD_CHECK(legacy.ok());
-  for (int step = 0; step < 2; ++step) {
-    msd::Status advanced = (*legacy)->AdvanceStep();  // deprecated shim
-    MSD_CHECK(advanced.ok());
-    const msd::Session::StepStats& stats2 = (*legacy)->last_stats();
-    std::printf("\n[legacy] step %lld: %zu samples, DP imbalance %.3f, plan %.2f ms, "
-                "build-ahead %.2f ms\n",
-                static_cast<long long>(stats2.step), stats2.samples, stats2.dp_imbalance,
-                stats2.plan_compute_ms, stats2.build_ahead_ms);
-    for (int32_t rank = 0; rank < 2; ++rank) {
-      msd::Result<msd::RankBatch> batch = (*legacy)->GetBatch(rank);  // deprecated shim
-      MSD_CHECK(batch.ok());
-      std::printf("[legacy]   rank %d: %zu microbatches, %lld payload bytes\n", rank,
-                  batch->microbatches.size(),
-                  static_cast<long long>(batch->payload_bytes));
-    }
-  }
+  // Per-step observability: a step's stats stay readable until every rank
+  // has consumed it.
+  msd::Result<msd::Session::StepStats> step_stats =
+      (*session)->StepStatsFor(client0->next_step());
+  MSD_CHECK(step_stats.ok());
+  std::printf("step %lld: %zu samples, DP imbalance %.3f, plan %.2f ms, build-ahead %.2f ms\n",
+              static_cast<long long>(step_stats->step), step_stats->samples,
+              step_stats->dp_imbalance, step_stats->plan_compute_ms,
+              step_stats->build_ahead_ms);
   std::printf("\n%s", (*session)->memory().Report().c_str());
   return 0;
 }

@@ -43,18 +43,18 @@ double StreamSteps(msd::Session& session, int steps,
 }  // namespace
 
 int main() {
-  auto session = msd::SessionBuilder()
-                     .WithCorpus(msd::MakeNavitData(/*seed=*/11, /*num_sources=*/24))
-                     .WithMesh({.dp = 2, .pp = 1, .cp = 2, .tp = 2})
-                     .WithMicrobatches(2)
-                     .WithSamplesPerStep(24)
-                     .WithMaxSeqLen(4096)
-                     .WithBackbone(msd::Llama12B())
-                     .WithEncoder(msd::ViT2B())
-                     .WithStrategy(msd::Session::StrategyKind::kHybridBalance)
-                     .WithRowsPerFile(48)
-                     .WithPrefetchDepth(2)
-                     .Build();
+  msd::Session::Options options;
+  options.corpus = msd::MakeNavitData(/*seed=*/11, /*num_sources=*/24);
+  options.spec = {.dp = 2, .pp = 1, .cp = 2, .tp = 2};
+  options.num_microbatches = 2;
+  options.samples_per_step = 24;
+  options.max_seq_len = 4096;
+  options.backbone = msd::Llama12B();
+  options.encoder = msd::ViT2B();
+  options.strategy = msd::Session::StrategyKind::kHybridBalance;
+  options.rows_per_file_override = 48;
+  options.prefetch_depth = 2;
+  auto session = msd::Session::Create(options);
   MSD_CHECK(session.ok());
   std::printf("VLM session: %s, %zu loaders (auto-partitioned), streaming clients\n",
               (*session)->tree().spec().ToString().c_str(), (*session)->num_loaders());
@@ -106,15 +106,9 @@ int main() {
               static_cast<long long>(pipeline.steps_retired));
 
   // Vanilla comparison on an identical corpus.
-  auto vanilla_session = msd::SessionBuilder()
-                             .WithCorpus(msd::MakeNavitData(11, 24))
-                             .WithMesh({.dp = 2, .pp = 1, .cp = 2, .tp = 2})
-                             .WithMicrobatches(2)
-                             .WithSamplesPerStep(24)
-                             .WithMaxSeqLen(4096)
-                             .WithStrategy(msd::Session::StrategyKind::kVanilla)
-                             .WithRowsPerFile(48)
-                             .Build();
+  msd::Session::Options vanilla = options;
+  vanilla.strategy = msd::Session::StrategyKind::kVanilla;
+  auto vanilla_session = msd::Session::Create(std::move(vanilla));
   MSD_CHECK(vanilla_session.ok());
   std::vector<msd::RankBatch> vanilla_batches;
   StreamSteps(**vanilla_session, 4, &vanilla_batches);

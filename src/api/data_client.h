@@ -7,12 +7,15 @@
 // already is — that's the point) and NextBatchAsync() returns a future so the
 // caller can overlap the fetch with its own compute.
 //
-//   auto session = msd::SessionBuilder().WithCorpus(...).WithMesh(spec).Build();
+//   auto session = msd::Session::Create(options);  // Session::Options
 //   msd::DataClient* client = (*session)->client(rank).value();
 //   while (training) {
 //     msd::RankBatch batch = client->NextBatch().value();  // hot: prefetch hit
 //     ...
 //   }
+//
+// At prefetch_depth = 0 nothing is built ahead: the first rank to pull a step
+// produces it inline on its own thread (the lockstep baseline).
 //
 // A DataClient is bound to its rank and owned by the Session; handles stay
 // valid for the session's lifetime. One consumer per rank: a single
@@ -52,7 +55,7 @@ class DataClient {
   /// commits new per-source base weights taking effect at `effective_step`
   /// (-1, the default, = the next step the planner has not yet planned).
   /// Requires the session to carry a dynamic mixture schedule
-  /// (SessionBuilder::WithMixtureSchedule); overrides are validated by the
+  /// (Session::Options::mixture_schedule); overrides are validated by the
   /// planner, checkpointed with its state, and replayed on resume.
   Status UpdateMixture(std::vector<double> weights, int64_t effective_step = -1);
 

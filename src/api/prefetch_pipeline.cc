@@ -113,7 +113,7 @@ void PrefetchPipeline::ProducerLoop() {
       if (config_.on_produced_meta) {
         // Capture the meta while mu_ is still held: once the lock drops, a
         // fast consumer may pop AND retire this step before the hooks below
-        // run, and a post-hoc StepInfo(produced_step) would come back empty.
+        // run, and a post-hoc lookup of produced_step would come back empty.
         Result<StepMeta> meta = StepInfoLocked(produced_step);
         if (meta.ok()) {
           produced_meta = meta.value();
@@ -339,16 +339,6 @@ void PrefetchPipeline::ResolvePendingReleaseLocked(int64_t step, int32_t rank,
   }
 }
 
-void PrefetchPipeline::AbandonPendingReleaseForRankLocked(size_t rank) {
-  for (auto it = pending_release_.begin(); it != pending_release_.end();) {
-    if (rank < it->second.awaiting.size() && it->second.awaiting[rank]) {
-      it = pending_release_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 // Runs fetch_ outside the lock, bracketed by active_fetches_ so Pause() can
 // wait out in-flight fetches; new fetches block while a drain is in effect.
 Result<RankBatch> PrefetchPipeline::GatedFetch(std::unique_lock<std::mutex>& lock,
@@ -444,46 +434,6 @@ std::future<Result<RankBatch>> PrefetchPipeline::NextBatchAsync(int32_t rank) {
   return std::async(std::launch::async, [this, rank] { return NextBatch(rank); });
 }
 
-Status PrefetchPipeline::WaitProduced(int64_t step) {
-  std::unique_lock<std::mutex> lock(mu_);
-  // The lockstep shim consumes in unison: every rank lagging behind `step`
-  // is fast-forwarded, which retires (frees) all steps before it. Shim
-  // delivery is declared, not claimed, so stale streaming claims are voided
-  // (and any eager release awaiting them falls back to the backstop).
-  for (size_t rank = 0; rank < cursors_.size(); ++rank) {
-    if (cursors_[rank] < step) {
-      cursors_[rank] = step;
-      if (inflight_claims_[rank] >= 0) {
-        AbandonPendingReleaseForRankLocked(rank);
-        inflight_claims_[rank] = -1;
-      }
-    }
-  }
-  MaybeRetireLocked();
-  return WaitProducedLocked(lock, step, /*count_stats=*/true);
-}
-
-void PrefetchPipeline::MarkShimConsumed(int64_t step) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t rank = 0; rank < cursors_.size(); ++rank) {
-    if (cursors_[rank] < step + 1) {
-      cursors_[rank] = step + 1;
-      if (inflight_claims_[rank] >= 0) {
-        AbandonPendingReleaseForRankLocked(rank);
-        inflight_claims_[rank] = -1;
-      }
-    }
-  }
-  MaybeRetireLocked();
-}
-
-Result<RankBatch> PrefetchPipeline::FetchStep(int32_t rank, int64_t step) {
-  // No cursor movement and no refcount: the deprecated GetBatch may fetch a
-  // step any number of times (or not at all); constructor eviction bounds it.
-  std::unique_lock<std::mutex> lock(mu_);
-  return GatedFetch(lock, rank, step);
-}
-
 void PrefetchPipeline::Pause() {
   std::unique_lock<std::mutex> lock(mu_);
   paused_ = true;
@@ -539,11 +489,6 @@ PrefetchPipeline::Stats PrefetchPipeline::stats() const {
   return s;
 }
 
-std::vector<PrefetchPipeline::RankStall> PrefetchPipeline::rank_stalls() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rank_stalls_;
-}
-
 PrefetchPipeline::Frontier PrefetchPipeline::frontier() const {
   std::lock_guard<std::mutex> lock(mu_);
   Frontier f;
@@ -565,11 +510,6 @@ PrefetchPipeline::Frontier PrefetchPipeline::frontier() const {
   return f;
 }
 
-Result<PrefetchPipeline::StepMeta> PrefetchPipeline::StepInfo(int64_t step) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return StepInfoLocked(step);
-}
-
 Result<PrefetchPipeline::StepMeta> PrefetchPipeline::StepInfoLocked(int64_t step) const {
   auto it = tickets_.find(step);
   if (it == tickets_.end()) {
@@ -586,15 +526,13 @@ Result<PrefetchPipeline::StepMeta> PrefetchPipeline::StepInfoLocked(int64_t step
 }
 
 Result<PrefetchPipeline::StepMeta> PrefetchPipeline::WaitStepInfo(int64_t step) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Pure observability: never classified as a prefetch hit or stall.
-    Status produced = WaitProducedLocked(lock, step, /*count_stats=*/false);
-    if (!produced.ok()) {
-      return produced;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  // Pure observability: never classified as a prefetch hit or stall.
+  Status produced = WaitProducedLocked(lock, step, /*count_stats=*/false);
+  if (!produced.ok()) {
+    return produced;
   }
-  return StepInfo(step);
+  return StepInfoLocked(step);
 }
 
 Result<PrefetchPipeline::Capture> PrefetchPipeline::CaptureStep(int64_t step) {
@@ -623,11 +561,6 @@ int64_t PrefetchPipeline::cursor(int32_t rank) const {
     return -1;  // rank dropped by a shrinking reshard; handles must not abort
   }
   return cursors_[static_cast<size_t>(rank)];
-}
-
-int32_t PrefetchPipeline::world_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return world_size_;
 }
 
 }  // namespace msd

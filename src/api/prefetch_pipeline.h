@@ -11,8 +11,7 @@
 //     production on the consumer's thread (the lockstep baseline).
 //   - Per-rank cursors: every rank of the world has a cursor; NextBatch(rank)
 //     claims the cursor's step, blocks until it is produced, fetches the
-//     rank's view, and advances. The deprecated lockstep shim instead raises
-//     every lagging cursor at once via WaitProduced (AdvanceStep).
+//     rank's view, and advances.
 //   - Refcounted retirement: a step's resources are released once all
 //     world-size ranks have fetched their view (constructor StepData is
 //     dropped eagerly via the release hook) or once every cursor has moved
@@ -25,12 +24,12 @@
 //     prefetched steps to a new mesh instead of racing or discarding them.
 //
 // Determinism: the producer is strictly sequential in step order and issues
-// per-loader pops in the same relative order as the old lockstep loop, so a
-// pipelined session serves byte-identical batches to the synchronous shim
-// (asserted by tests/pipeline_test.cc against ReferenceDataPlane).
+// per-loader pops in the same relative order at every depth, so a pipelined
+// session serves byte-identical batches to a depth-0 one (asserted by
+// tests/pipeline_test.cc against ReferenceDataPlane).
 //
-// Thread-safety: NextBatch/WaitProduced/FetchStep/stats are safe to call from
-// any thread (one consumer per rank; a DataClient itself is not shared).
+// Thread-safety: NextBatch/stats are safe to call from any thread (one
+// consumer per rank; a DataClient itself is not shared).
 // Control operations (Pause/Resume/RebuildLive/Stop) must not run
 // concurrently with each other — Session serializes them.
 #ifndef SRC_API_PREFETCH_PIPELINE_H_
@@ -77,6 +76,9 @@ class PrefetchPipeline {
   struct Config {
     // Max steps live (produced or in production) ahead of retirement.
     // 0 = synchronous: steps are produced inline on the consuming thread.
+    // Nothing then bounds how far one rank's pulls run ahead of another's,
+    // so depth-0 consumers must move in lockstep (all ranks per step, or a
+    // barrier between steps) to stay inside the constructors' resident window.
     int32_t depth = 2;
     // First step this pipeline produces/retires (job resume starts mid-
     // stream; a fresh session starts at 0).
@@ -93,7 +95,7 @@ class PrefetchPipeline {
     // Like on_produced, but handed the step's StepMeta captured UNDER the
     // pipeline lock before any hook runs. A fast consumer can pop and retire
     // the step before the producer thread reaches the hooks, so a post-hoc
-    // StepInfo(step) from inside on_produced can fail spuriously; this
+    // lookup from inside on_produced can fail spuriously; this
     // variant never loses the observation. Fires after on_produced, same
     // thread and constraints. Session's health tick hangs here.
     std::function<void(const StepMeta& meta)> on_produced_meta;
@@ -128,17 +130,17 @@ class PrefetchPipeline {
     IoTenantId tenant = kDefaultIoTenant;
   };
 
-  // Per-rank stall histogram over the streaming path (NextBatch): how often
-  // this rank's pull blocked on production, and for how long in total. A
-  // skewed histogram localizes the straggler (slow consumer ranks show zero
-  // stalls; the rank that always arrives before the build-ahead shows many).
+  // Per-rank stall histogram over NextBatch pulls: how often this rank's
+  // pull blocked on production, and for how long in total. A skewed
+  // histogram localizes the straggler (slow consumer ranks show zero stalls;
+  // the rank that always arrives before the build-ahead shows many).
   struct RankStall {
     int64_t pulls = 0;     // NextBatch calls by this rank
     int64_t stalls = 0;    // pulls that blocked on production
     double wait_ms = 0.0;  // total time blocked
   };
 
-  // Cumulative pipeline counters (all fetch paths: clients and shims).
+  // Cumulative pipeline counters over every rank's pulls.
   struct Stats {
     int64_t steps_produced = 0;
     int64_t steps_retired = 0;
@@ -215,17 +217,6 @@ class PrefetchPipeline {
   // Future-returning variant; consecutive calls claim consecutive steps.
   std::future<Result<RankBatch>> NextBatchAsync(int32_t rank);
 
-  // Deprecated-shim support: blocks until `step` is produced and raises every
-  // cursor lagging behind `step` (the lockstep loop consumes in unison).
-  Status WaitProduced(int64_t step);
-  // Deprecated-shim support: declares `step` delivered — every cursor moves
-  // past it, retiring it from the pipeline (constructor data stays within the
-  // resident window for late GetBatch calls, but a Reshard will no longer
-  // rebuild it — matching the old "resident data dropped" semantics).
-  void MarkShimConsumed(int64_t step);
-  // Deprecated-shim fetch: no cursor movement, no retirement refcount.
-  Result<RankBatch> FetchStep(int32_t rank, int64_t step);
-
   // Drain: stop claiming new steps, block new fetches, and wait out both the
   // in-flight production round and every in-flight fetch, so no
   // loader/constructor Ask is mid-air (safe to kill/promote/reshard).
@@ -238,25 +229,22 @@ class PrefetchPipeline {
   Status RebuildLive(int32_t new_world_size);
 
   Stats stats() const;
-  std::vector<RankStall> rank_stalls() const;
   Frontier frontier() const;
-  Result<StepMeta> StepInfo(int64_t step) const;
-  // Like StepInfo but blocks until `step` is produced (for streaming
+  // Stats of a live step, blocking until it is produced (for streaming
   // consumers that want a step's stats before pulling it).
   Result<StepMeta> WaitStepInfo(int64_t step);
   Result<Capture> CaptureStep(int64_t step);
 
   int64_t cursor(int32_t rank) const;
-  int32_t world_size() const;
 
  private:
-  // StepInfo body with mu_ already held (the producer loop captures the
+  // A live step's meta, with mu_ already held (the producer loop captures the
   // just-produced step's meta for on_produced_meta without dropping the lock).
   Result<StepMeta> StepInfoLocked(int64_t step) const;
 
   struct Ticket {
     ProducedStep data;
-    std::vector<uint8_t> fetched;  // one flag per rank (streaming path only)
+    std::vector<uint8_t> fetched;  // one flag per rank
     int32_t fetch_count = 0;
     bool released = false;  // constructor data already dropped via release_
   };
@@ -289,9 +277,6 @@ class PrefetchPipeline {
   // Post-fetch bookkeeping for a floor-retired step: marks `rank`'s fetch
   // done and fires the eager release once no fetch is awaited.
   void ResolvePendingReleaseLocked(int64_t step, int32_t rank, bool fetch_ok);
-  // Drops the pending-release entry whose awaited rank was voided (shim
-  // fast-forward, reshard): the eviction backstop takes over.
-  void AbandonPendingReleaseForRankLocked(size_t rank);
   int64_t ConsumptionFloorLocked() const;
   Status HaltStatusLocked(int64_t step) const;
 
@@ -329,7 +314,7 @@ class PrefetchPipeline {
   bool produce_claimed_ = false;
   int32_t active_fetches_ = 0;  // fetch_ calls in flight (drained by Pause)
   Stats stats_;
-  std::vector<RankStall> rank_stalls_;  // one per rank (streaming path)
+  std::vector<RankStall> rank_stalls_;  // one per rank
 
   // Slot tokens bounding live steps; Push blocks the producer (backpressure),
   // retirement TryPops to free a slot. Unused in synchronous mode.

@@ -63,8 +63,8 @@ Result<std::unique_ptr<Session>> Session::Create(Options options) {
         !options.gcs_spill_dir.empty()) {
       return Status::InvalidArgument(
           "a shared-plane session must leave the per-session I/O options "
-          "unset (block cache, cache spill, storage latency/faults, gcs "
-          "spill) — the plane provides them");
+          "unset (block_cache_bytes, cache_spill_dir, storage_get_latency, "
+          "storage_faults, gcs_spill_dir) — the plane provides them");
     }
     if (options.io_tenant < 0) {
       return Status::InvalidArgument("io_tenant must be >= 0");
@@ -72,24 +72,26 @@ Result<std::unique_ptr<Session>> Session::Create(Options options) {
   } else if (options.io_tenant != kDefaultIoTenant || !options.gcs_namespace.empty()) {
     return Status::InvalidArgument(
         "io_tenant/gcs_namespace only apply with a shared I/O plane "
-        "(WithSharedIoPlane)");
+        "(shared_plane)");
   }
   if (options.read_ahead_groups > 0 && options.block_cache_bytes <= 0 &&
       options.shared_plane == nullptr) {
     return Status::InvalidArgument(
-        "read-ahead needs the block cache (WithBlockCache) to land its "
-        "prefetched groups somewhere");
+        "read_ahead_groups needs the block cache (block_cache_bytes) to land "
+        "its prefetched groups somewhere");
   }
   if (!options.cache_spill_dir.empty() && options.block_cache_bytes <= 0) {
-    return Status::InvalidArgument("cache spill needs the block cache enabled");
+    return Status::InvalidArgument(
+        "cache_spill_dir needs the block cache enabled (block_cache_bytes)");
   }
   if (options.storage_faults.enabled() && options.block_cache_bytes <= 0) {
     return Status::InvalidArgument(
-        "storage fault injection needs the block cache (WithBlockCache): the "
-        "retry machinery under test lives in the ranged-read path");
+        "storage_faults needs the block cache (block_cache_bytes): the retry "
+        "machinery under test lives in the ranged-read path");
   }
   if (options.io_retry.max_attempts < 1 || options.produce_retry_attempts < 1) {
-    return Status::InvalidArgument("retry budgets must be >= 1 attempt");
+    return Status::InvalidArgument(
+        "io_retry.max_attempts and produce_retry_attempts must be >= 1");
   }
   if (options.trace_ring_spans < 0) {
     return Status::InvalidArgument("trace_ring_spans must be >= 0 (0 = no tracing)");
@@ -98,11 +100,11 @@ Result<std::unique_ptr<Session>> Session::Create(Options options) {
     if (!options.telemetry_enabled) {
       return Status::InvalidArgument(
           "the health monitor reads the metrics registry and span ring "
-          "(WithTelemetry)");
+          "(telemetry_enabled)");
     }
     if (options.trace_ring_spans <= 0 && options.shared_plane == nullptr) {
       return Status::InvalidArgument(
-          "stall attribution needs the span ring (WithTraceRing > 0)");
+          "stall attribution needs the span ring (trace_ring_spans > 0)");
     }
     if (options.prefetch_depth < 1) {
       // The health tick fires from the producer thread after each produced
@@ -119,7 +121,8 @@ Result<std::unique_ptr<Session>> Session::Create(Options options) {
   if (options.watchdog_interval_ms > 0) {
     if (!options.enable_fault_tolerance) {
       return Status::InvalidArgument(
-          "the watchdog needs hot-standby shadows to promote (WithFaultTolerance)");
+          "the watchdog needs hot-standby shadows to promote "
+          "(enable_fault_tolerance)");
     }
     if (options.prefetch_depth < 1) {
       // The scan fires from the producer thread between steps; synchronous
@@ -143,7 +146,8 @@ Result<std::unique_ptr<Session>> Session::Create(Options options) {
     }
     if (!options.enable_checkpoint_journal) {
       return Status::InvalidArgument(
-          "auto-checkpoint requires the checkpoint journal (WithCheckpointJournal)");
+          "auto-checkpoint requires the checkpoint journal "
+          "(enable_checkpoint_journal)");
     }
     if (options.prefetch_depth < 1) {
       // The periodic save fires from the producer thread; synchronous mode
@@ -161,7 +165,7 @@ Result<std::unique_ptr<Session>> Session::Create(Options options) {
   if (options.mixture_schedule != nullptr) {
     if (options.schedule != nullptr) {
       return Status::InvalidArgument(
-          "WithMixtureSchedule and WithSchedule are mutually exclusive — the "
+          "mixture_schedule and schedule are mutually exclusive — the "
           "mixture schedule IS the mixing schedule");
     }
     if (options.mixture_schedule->num_sources() != options.corpus.sources.size()) {
@@ -311,9 +315,6 @@ Status Session::Initialize() {
   if (options_.storage_get_latency > 0) {
     RemoteStorageParams params;
     params.get_latency = options_.storage_get_latency;
-    if (options_.storage_bandwidth_bytes_per_sec > 0) {
-      params.bandwidth_bytes_per_sec = options_.storage_bandwidth_bytes_per_sec;
-    }
     remote_store_ = std::make_unique<LatencyInjectingStore>(&store_, params);
     loader_store = remote_store_.get();
   }
@@ -394,7 +395,6 @@ Status Session::Initialize() {
       config.num_workers = std::max(1, part.workers_per_actor);
       config.defer_image_decode = options_.defer_image_decode;
       config.max_decode_patches = options_.bound_pixel_decode ? options_.max_seq_len : 0;
-      config.arena_decode = options_.arena_decode;
       config.read_ahead_groups = options_.read_ahead_groups;
       config.ranged_reads = remote_store_ != nullptr || options_.shared_plane != nullptr;
       config.io_tenant = options_.io_tenant;
@@ -422,8 +422,9 @@ Status Session::Initialize() {
   }
 
   // 4. One Data Constructor per DP group. The resident window must cover the
-  // whole prefetch pipeline plus the late-fetch margin of the deprecated
-  // lockstep shim, or eviction could race consumption at high depths.
+  // whole prefetch pipeline plus the steps the cursor floor already retired
+  // while their last fetch is still in flight, or eviction could race
+  // consumption at high depths.
   for (int32_t dp = 0; dp < options_.spec.dp; ++dp) {
     DataConstructorConfig config;
     config.constructor_id = dp;
@@ -494,12 +495,11 @@ Status Session::Initialize() {
   if (resume_ != nullptr) {
     MSD_RETURN_IF_ERROR(ApplyResumeState());
     start_step_ = resume_->commit_step;
-    next_step_ = start_step_;
   }
 
   // 8. The prefetch pipeline: builds steps ahead of consumption and retires
   // them by rank refcount. Starts producing immediately (warmup) — from the
-  // resumed commit frontier when this session was built via ResumeFrom.
+  // resumed commit frontier when this session was built with a resume_dir.
   PrefetchPipeline::Config pipeline_config;
   pipeline_config.depth = options_.prefetch_depth;
   pipeline_config.start_step = start_step_;
@@ -1158,34 +1158,6 @@ Result<DataClient*> Session::client(int32_t rank) {
   return it->second.get();
 }
 
-Status Session::AdvanceStep() {
-  int64_t step = next_step_++;
-  Status produced = pipeline_->WaitProduced(step);
-  if (!produced.ok()) {
-    return produced;
-  }
-  last_stats_.step = step;
-  Result<PrefetchPipeline::StepMeta> meta = pipeline_->StepInfo(step);
-  if (meta.ok()) {
-    last_stats_.samples = meta->samples;
-    last_stats_.dp_imbalance = meta->dp_imbalance;
-    last_stats_.plan_compute_ms = meta->plan_compute_ms;
-    last_stats_.build_ahead_ms = meta->build_ahead_ms;
-  }
-  PrefetchPipeline::Stats stats = pipeline_->stats();
-  last_stats_.prefetch_depth = options_.prefetch_depth;
-  last_stats_.prefetch_queue_depth = stats.queue_depth;
-  last_stats_.prefetch_hits = stats.prefetch_hits;
-  last_stats_.prefetch_stalls = stats.prefetch_stalls;
-  last_stats_.rank_stalls = pipeline_->rank_stalls();
-  FillIoCounters(&last_stats_);
-  FillPayloadCounters(&last_stats_);
-  // The lockstep loop delivered this step; retire it so the producer can move
-  // on (GetBatch still serves it from the constructors' resident window).
-  pipeline_->MarkShimConsumed(step);
-  return Status::Ok();
-}
-
 void Session::FillPayloadCounters(StepStats* stats) {
   // Process-wide payload-plane accounting (payload_buffer.h). Materialized
   // bytes include explicit copy-outs; report the freeze-only share and the
@@ -1348,7 +1320,7 @@ std::map<int32_t, int64_t> Session::QuarantinedLoaders() {
 Status Session::UpdateMixture(int64_t effective_step, std::vector<double> weights) {
   if (options_.mixture_schedule == nullptr) {
     return Status::FailedPrecondition(
-        "UpdateMixture requires a dynamic mixture schedule (WithMixtureSchedule)");
+        "UpdateMixture requires a dynamic mixture schedule (mixture_schedule)");
   }
   // Routed through the planner actor so the effective step is validated
   // against the plan cursor under the same serialization as planning itself —
@@ -1379,13 +1351,6 @@ std::vector<std::vector<int64_t>> Session::ConstructorResidentSteps() {
   return resident;
 }
 
-Result<RankBatch> Session::GetBatch(int32_t rank) {
-  if (next_step_ == start_step_) {
-    return Status::FailedPrecondition("AdvanceStep() before GetBatch()");
-  }
-  return pipeline_->FetchStep(rank, next_step_ - 1);
-}
-
 PrefetchPipeline::Stats Session::pipeline_stats() const { return pipeline_->stats(); }
 
 Result<Session::StepStats> Session::StepStatsFor(int64_t step) {
@@ -1404,7 +1369,7 @@ Result<Session::StepStats> Session::StepStatsFor(int64_t step) {
   stats.prefetch_queue_depth = pipeline.queue_depth;
   stats.prefetch_hits = pipeline.prefetch_hits;
   stats.prefetch_stalls = pipeline.prefetch_stalls;
-  stats.rank_stalls = pipeline_->rank_stalls();
+  stats.rank_stalls = std::move(pipeline.rank_stalls);
   FillIoCounters(&stats);
   FillPayloadCounters(&stats);
   return stats;
@@ -1591,188 +1556,6 @@ void Session::MaybeRunWatchdog() {
     }
   }
   pipeline_->Resume();
-}
-
-SessionBuilder& SessionBuilder::WithCorpus(CorpusSpec corpus) {
-  options_.corpus = std::move(corpus);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithMesh(const ParallelismSpec& spec) {
-  options_.spec = spec;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithMicrobatches(int32_t num_microbatches) {
-  options_.num_microbatches = num_microbatches;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithSamplesPerStep(int64_t samples_per_step) {
-  options_.samples_per_step = samples_per_step;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithMaxSeqLen(int32_t max_seq_len) {
-  options_.max_seq_len = max_seq_len;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithStrategy(Session::StrategyKind kind) {
-  options_.strategy = kind;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithBackbone(ModelConfig backbone) {
-  options_.backbone = backbone;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithEncoder(ModelConfig encoder) {
-  options_.encoder = encoder;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithSchedule(std::shared_ptr<const MixSchedule> schedule) {
-  options_.schedule = std::move(schedule);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithMixtureSchedule(std::shared_ptr<MixtureSchedule> schedule) {
-  options_.mixture_schedule = std::move(schedule);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithBoundedPixelDecode(bool enabled) {
-  options_.bound_pixel_decode = enabled;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithBalanceMethod(BalanceMethod method) {
-  options_.balance_method = method;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithSeed(uint64_t seed) {
-  options_.seed = seed;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithLoaderWorkers(int32_t workers) {
-  options_.loader_workers = workers;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithFaultTolerance(bool enabled) {
-  options_.enable_fault_tolerance = enabled;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithSnapshotInterval(int64_t steps) {
-  options_.loader_snapshot_interval = steps;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithRowsPerFile(int64_t rows) {
-  options_.rows_per_file_override = rows;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithDeferredImageDecode(bool enabled) {
-  options_.defer_image_decode = enabled;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithArenaDecode(bool enabled) {
-  options_.arena_decode = enabled;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithPrefetchDepth(int32_t depth) {
-  options_.prefetch_depth = depth;
-  return *this;
-}
-SessionBuilder& SessionBuilder::ResumeFrom(std::string dir) {
-  options_.resume_dir = std::move(dir);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithDurableGcs(std::string dir) {
-  options_.gcs_spill_dir = std::move(dir);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithCheckpointJournal(bool enabled) {
-  options_.enable_checkpoint_journal = enabled;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithBlockCache(int64_t bytes) {
-  options_.block_cache_bytes = bytes;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithCacheSpill(std::string dir) {
-  options_.cache_spill_dir = std::move(dir);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithReadAhead(int32_t groups) {
-  options_.read_ahead_groups = groups;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithRemoteStorage(SimTime get_latency,
-                                                  double bandwidth_bytes_per_sec) {
-  options_.storage_get_latency = get_latency;
-  options_.storage_bandwidth_bytes_per_sec = bandwidth_bytes_per_sec;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithRowGroupBytes(int64_t bytes) {
-  options_.row_group_bytes = bytes;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithStorageFaults(FaultSchedule schedule) {
-  options_.storage_faults = std::move(schedule);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithIoRetry(IoScheduler::RetryPolicy policy) {
-  options_.io_retry = policy;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithIoHedging(IoScheduler::HedgePolicy policy) {
-  options_.io_hedge = policy;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithSourceQuarantine(int32_t after_failures,
-                                                     int64_t probe_interval) {
-  options_.quarantine_after_failures = after_failures;
-  options_.quarantine_probe_interval = probe_interval;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithProduceRetries(int32_t attempts) {
-  options_.produce_retry_attempts = attempts;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithWatchdog(int64_t interval_ms,
-                                             int64_t heartbeat_timeout_ms) {
-  options_.watchdog_interval_ms = interval_ms;
-  options_.watchdog_heartbeat_timeout_ms = heartbeat_timeout_ms;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithLoaderRpcTimeout(int64_t timeout_ms) {
-  options_.loader_rpc_timeout_ms = timeout_ms;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithAutoCheckpoint(std::string dir, int64_t every_n_steps) {
-  options_.auto_checkpoint_dir = std::move(dir);
-  options_.auto_checkpoint_every = every_n_steps;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithCheckpointRetention(int32_t generations) {
-  options_.checkpoint_keep_generations = generations;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithSharedIoPlane(SharedIoPlane* plane, IoTenantId tenant) {
-  options_.shared_plane = plane;
-  options_.io_tenant = tenant;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithGcsNamespace(std::string ns) {
-  options_.gcs_namespace = std::move(ns);
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithTelemetry(bool enabled) {
-  options_.telemetry_enabled = enabled;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithTraceRing(int64_t spans) {
-  options_.trace_ring_spans = spans;
-  return *this;
-}
-SessionBuilder& SessionBuilder::WithHealthMonitor(HealthOptions health) {
-  health.enabled = true;
-  options_.health = std::move(health);
-  return *this;
-}
-
-Result<std::unique_ptr<Session>> SessionBuilder::Build() {
-  return Session::Create(std::move(options_));
 }
 
 }  // namespace msd

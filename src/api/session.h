@@ -8,12 +8,10 @@
 // steps N .. N+depth-1 while ranks consume step N, so on the hot path a
 // rank's pull is a prefetch hit — the loader disappears from step time.
 //
-//   auto session = msd::SessionBuilder()
-//                      .WithCorpus(msd::MakeCoyo700m())
-//                      .WithMesh({.dp = 2, .pp = 1, .cp = 2, .tp = 2})
-//                      .WithPrefetchDepth(2)
-//                      .Build()
-//                      .value();
+//   msd::Session::Options options;
+//   options.corpus = msd::MakeCoyo700m();
+//   options.spec = {.dp = 2, .pp = 1, .cp = 2, .tp = 2};
+//   auto session = msd::Session::Create(std::move(options)).value();
 //   msd::DataClient* client = session->client(rank).value();   // per rank
 //   msd::RankBatch batch = client->NextBatch().value();        // blocking pull
 //   auto future = client->NextBatchAsync();                    // overlap compute
@@ -24,12 +22,8 @@
 // consumes slower than the loader produces). Reshard() and
 // KillAndRecoverLoader() drain the pipeline first and rebuild (not discard)
 // any prefetched steps, so elasticity and failure recovery never race
-// in-flight work.
-//
-// The pre-streaming lockstep API survives as deprecated shims implemented on
-// top of the pipeline — AdvanceStep() waits for the next step to be produced
-// and GetBatch(rank) fetches a view of it. Existing call sites keep working
-// and serve byte-identical batches; new code should use client(rank).
+// in-flight work. At prefetch_depth = 0 nothing is built ahead: the first
+// rank to pull a step produces it inline, which is the lockstep baseline.
 //
 // All components run as actors on an in-process ActorSystem; the flow follows
 // the paper's pull model (client -> Data Constructor -> Planner -> Source
@@ -106,15 +100,10 @@ class Session {
     // Transformation reordering (Sec. 6.2): ship compressed image bytes from
     // loaders and decode at the Data Constructor.
     bool defer_image_decode = false;
-    // Arena-backed row-group decode (src/data/payload_arena.h): loaders
-    // allocate each group's Samples as one shared block and freeze decoded
-    // payloads as per-shard slabs — O(1) allocations per group instead of
-    // per row, freed as a unit when the group's last sample retires. The
-    // byte stream is identical with it off (the legacy per-row path).
-    bool arena_decode = true;
     // Steps the pipeline works ahead of consumption (>= 2 hides the data
     // plane behind training compute). 0 = fully synchronous lockstep
-    // production — the baseline bench_pipeline_throughput measures against.
+    // production: the first rank to pull a step produces it inline — the
+    // baseline bench_pipeline_throughput measures against.
     int32_t prefetch_depth = 2;
     // Durable resume (src/checkpoint/): directory of a checkpoint written by
     // Checkpoint(). The corpus/seed/step-shape options must match the
@@ -144,10 +133,9 @@ class Session {
     // block_cache_bytes > 0). 0 = no read-ahead.
     int32_t read_ahead_groups = 0;
     // Simulated remote storage: > 0 wraps the corpus store in a
-    // LatencyInjectingStore charging this many microseconds per Get.
+    // LatencyInjectingStore charging this many microseconds per Get (plus
+    // size over the sim/network default bandwidth).
     SimTime storage_get_latency = 0;
-    // Transfer rate for the latency model; 0 = sim/network default.
-    double storage_bandwidth_bytes_per_sec = 0;
     // MSDF row-group target size for the materialized corpus; 0 = the
     // synthetic default (4 MiB). Smaller groups = more Gets per step —
     // the knob bench_io_cache turns to make storage latency bite.
@@ -246,7 +234,7 @@ class Session {
     size_t samples = 0;
     /// Wall time the Planner spent computing this step's plan.
     double plan_compute_ms = 0.0;
-    /// Configured build-ahead window (SessionBuilder::WithPrefetchDepth).
+    /// Configured build-ahead window (Options::prefetch_depth).
     int32_t prefetch_depth = 0;
     /// Produced-but-unretired steps resident in the pipeline right now.
     size_t prefetch_queue_depth = 0;
@@ -321,7 +309,7 @@ class Session {
     int64_t storage_gets = 0;
     /// Payload bytes the LatencyInjectingStore served (0 without one).
     int64_t storage_bytes_served = 0;
-    /// Chaos-plane counters (all zero without WithStorageFaults etc.).
+    /// Chaos-plane counters (all zero without Options::storage_faults etc.).
     int64_t faults_injected = 0;       // transient failures the store injected
     int64_t corruptions_injected = 0;  // bit-flips the store injected
     int64_t brownout_failures = 0;     // Gets failed by an engaged brownout
@@ -339,15 +327,6 @@ class Session {
   // lifetime. One consumer per rank (handles for different ranks may be
   // driven from different threads — that is the intended use).
   Result<DataClient*> client(int32_t rank);
-
-  // Deprecated lockstep shim: blocks until the next step is produced by the
-  // pipeline (usually a prefetch hit) and publishes its stats. Prefer
-  // client(rank)->NextBatch(), which needs no global step driver.
-  Status AdvanceStep();
-
-  // Deprecated lockstep shim: batch view for `rank` at the most recently
-  // advanced step. Does not advance the rank's stream or retire steps.
-  Result<RankBatch> GetBatch(int32_t rank);
 
   // Injects a loader failure and recovers via shadow promotion (requires
   // enable_fault_tolerance). Drains the prefetch pipeline first so no
@@ -367,11 +346,7 @@ class Session {
   // and the per-rank *delivered* cursors — with two-phase staging, so a
   // crash mid-save never corrupts the previous checkpoint. The pipeline is
   // drained during the save and resumes after. Returns the published id.
-  // Deprecated-shim caveat: AdvanceStep() IS the shim's consumption point,
-  // so a checkpoint taken between AdvanceStep() and the GetBatch() calls
-  // commits past that step (streaming DataClients have exact per-rank
-  // delivery tracking and no such window).
-  // A dead process resumes via SessionBuilder::ResumeFrom(dir), on the same
+  // A dead process resumes via Options::resume_dir, on the same
   // mesh (byte-identical continuation) or a different dp/pp/cp/tp mesh and
   // prefetch depth (elastic resume: in-flight plans replayed against the new
   // mesh when the DP degree is unchanged, deterministically replanned from
@@ -379,8 +354,6 @@ class Session {
   Result<std::string> Checkpoint(const std::string& dir,
                                  CheckpointWriter::Options writer_options = {});
 
-  int64_t current_step() const { return next_step_ - 1; }
-  const StepStats& last_stats() const { return last_stats_; }
   // Streaming observability: stats of `step`, blocking until it is produced.
   // Call before the step is fully consumed (it retires afterwards).
   Result<StepStats> StepStatsFor(int64_t step);
@@ -399,10 +372,10 @@ class Session {
   // The step tracer capturing plan/pop/build/fetch/stall/io spans. Null
   // when tracing is off (trace_ring_spans = 0 or telemetry disabled).
   StepTracer* tracer() { return tracer_view_; }
-  // The health monitor (WithHealthMonitor): stall attribution, anomaly
+  // The health monitor (Options::health): stall attribution, anomaly
   // detection, flight recorder. Null when not enabled.
   HealthMonitor* health() { return health_.get(); }
-  // The latency-injecting backing store decorator (WithRemoteStorage), for
+  // The latency-injecting backing store decorator (storage_get_latency), for
   // benches that script mid-stream brownouts via set_get_latency. Null
   // without one (including shared-plane sessions — use the plane's).
   LatencyInjectingStore* remote_store() { return remote_store_.get(); }
@@ -412,7 +385,7 @@ class Session {
   // Loaders the planner currently holds in quarantine
   // (loader_id -> step the quarantine started at). Empty when healthy.
   std::map<int32_t, int64_t> QuarantinedLoaders();
-  // Client-fed mixture re-weighting (requires WithMixtureSchedule): commits
+  // Client-fed mixture re-weighting (requires a mixture_schedule): commits
   // an override that takes effect at `effective_step` (-1 = the next step the
   // planner has not yet planned). Overrides are checkpointed with the planner
   // state and replayed on resume; committing at an already-planned step is an
@@ -421,13 +394,13 @@ class Session {
   Status UpdateMixture(int64_t effective_step, std::vector<double> weights);
   // Last planned step's mixture view: phase, scale, and the effective
   // (quarantine-masked, temperature-scaled) per-source weights. step = -1
-  // before the first plan or without WithMixtureSchedule.
+  // before the first plan or without a mixture_schedule.
   Planner::MixtureStatus LastMixtureStatus();
   // The fault-injecting store decorator, for tests/benches that script
-  // brownouts mid-stream: the session-owned one (WithStorageFaults) or the
+  // brownouts mid-stream: the session-owned one (storage_faults) or the
   // tenant's private route on a shared plane. Null without either.
   FaultInjectingStore* fault_store();
-  // The heartbeat watchdog. Null without WithWatchdog.
+  // The heartbeat watchdog. Null without watchdog_interval_ms.
   Watchdog* watchdog() { return watchdog_.get(); }
   // Test/tooling hook: the plan and pop slices of a live (unretired) step,
   // e.g. to replay the step through ReferenceDataPlane. Slice aliases only.
@@ -534,7 +507,7 @@ class Session {
   std::unique_ptr<PrefetchPipeline> pipeline_;
   // Per-step rewind points feeding Checkpoint(); spans the build-ahead window.
   std::unique_ptr<StepStateJournal> state_journal_;
-  // Loaded checkpoint when this session was built via ResumeFrom.
+  // Loaded checkpoint when this session was built with a resume_dir.
   std::unique_ptr<CheckpointState> resume_;
   int64_t start_step_ = 0;  // first step this session produces (0 unless resumed)
   // Serializes control operations (Checkpoint — user-called or the periodic
@@ -543,135 +516,6 @@ class Session {
   std::mutex control_mu_;
   std::mutex clients_mu_;
   std::unordered_map<int32_t, std::unique_ptr<DataClient>> clients_;
-  int64_t next_step_ = 0;  // deprecated-shim cursor (AdvanceStep/GetBatch)
-  StepStats last_stats_;
-};
-
-// Fluent construction path for the streaming API. Every setter mirrors one
-// Session::Options field; unset fields keep their defaults.
-//
-//   auto session = msd::SessionBuilder()
-//                      .WithCorpus(corpus)
-//                      .WithMesh(spec)
-//                      .WithSamplesPerStep(16)
-//                      .WithFaultTolerance()
-//                      .Build();
-class SessionBuilder {
- public:
-  SessionBuilder() = default;
-
-  /// Corpus to materialize into the object store (presets: MakeCoyo700m,
-  /// MakeNavitData, MakeTextCorpus — or hand-built SourceSpecs).
-  SessionBuilder& WithCorpus(CorpusSpec corpus);
-  /// Parallelism mesh dp×pp×cp×tp; one DataClient per rank of it.
-  SessionBuilder& WithMesh(const ParallelismSpec& spec);
-  /// Microbatches per step (gradient-accumulation bins the plan fills).
-  SessionBuilder& WithMicrobatches(int32_t num_microbatches);
-  /// Samples the Planner assigns per step across all buckets.
-  SessionBuilder& WithSamplesPerStep(int64_t samples_per_step);
-  /// Packing bound: max backbone tokens per packed sequence.
-  SessionBuilder& WithMaxSeqLen(int32_t max_seq_len);
-  /// Orchestration strategy (vanilla / backbone-balance / hybrid-balance).
-  SessionBuilder& WithStrategy(Session::StrategyKind kind);
-  /// Backbone model for the cost-model balancers (default Llama12B()).
-  SessionBuilder& WithBackbone(ModelConfig backbone);
-  /// Vision encoder for the encoder subplan (default ViT1B()).
-  SessionBuilder& WithEncoder(ModelConfig encoder);
-  /// Source-mixing schedule (default: uniform static weights).
-  SessionBuilder& WithSchedule(std::shared_ptr<const MixSchedule> schedule);
-  /// Dynamic mixture schedule: curriculum phases + temperature + multi-scale
-  /// picks + the UpdateMixture override hook, checkpointed/resumed mid-phase.
-  /// Mutually exclusive with WithSchedule.
-  SessionBuilder& WithMixtureSchedule(std::shared_ptr<MixtureSchedule> schedule);
-  /// Stops pixel decode past max_seq_len patches (metadata-driven bound).
-  SessionBuilder& WithBoundedPixelDecode(bool enabled = true);
-  /// Balancer algorithm for the balance strategies (default greedy).
-  SessionBuilder& WithBalanceMethod(BalanceMethod method);
-  /// Seed for the Planner's RNG (the whole stream is deterministic in it).
-  SessionBuilder& WithSeed(uint64_t seed);
-  /// Transform worker threads per Source Loader actor.
-  SessionBuilder& WithLoaderWorkers(int32_t workers);
-  /// Spawns a hot-standby shadow per loader and enables KillAndRecoverLoader.
-  SessionBuilder& WithFaultTolerance(bool enabled = true);
-  /// Steps between differential loader snapshots (fault tolerance).
-  SessionBuilder& WithSnapshotInterval(int64_t steps);
-  /// Overrides rows materialized per source file (small = fast startup).
-  SessionBuilder& WithRowsPerFile(int64_t rows);
-  /// Ships compressed image bytes from loaders; constructors decode
-  /// (transformation reordering, Sec. 6.2).
-  SessionBuilder& WithDeferredImageDecode(bool enabled = true);
-  /// Arena-backed row-group decode in the loaders: one shared Sample block +
-  /// per-shard payload slabs per group instead of per-row allocations.
-  /// Byte-identical output; on by default.
-  SessionBuilder& WithArenaDecode(bool enabled = true);
-  /// Steps the pipeline builds ahead of consumption (>= 2 hides the data
-  /// plane behind training compute; 0 = lockstep baseline).
-  SessionBuilder& WithPrefetchDepth(int32_t depth);
-  /// Resumes the data stream from a durable checkpoint written by
-  /// Session::Checkpoint(dir). Supply the same corpus/seed/step-shape options
-  /// as the checkpointed job; the mesh (WithMesh) and prefetch depth may
-  /// differ — elastic resume replays or replans the stream accordingly.
-  SessionBuilder& ResumeFrom(std::string dir);
-  /// Spills every GCS state write (plan journal, FT snapshots) to disk.
-  SessionBuilder& WithDurableGcs(std::string dir);
-  /// Disables the per-step rewind recording (and with it Checkpoint()).
-  SessionBuilder& WithCheckpointJournal(bool enabled = true);
-  /// Routes loader reads through a shared block cache of this many bytes.
-  SessionBuilder& WithBlockCache(int64_t bytes);
-  /// Disk tier for blocks evicted from the memory cache.
-  SessionBuilder& WithCacheSpill(std::string dir);
-  /// Prefetches `groups` row groups past each loader's cursor.
-  SessionBuilder& WithReadAhead(int32_t groups);
-  /// Simulates remote storage: every Get pays `get_latency` microseconds plus
-  /// size/bandwidth (0 bandwidth = the sim/network default).
-  SessionBuilder& WithRemoteStorage(SimTime get_latency,
-                                    double bandwidth_bytes_per_sec = 0);
-  /// MSDF row-group target size for the materialized corpus.
-  SessionBuilder& WithRowGroupBytes(int64_t bytes);
-  /// Deterministic storage fault injection (requires WithBlockCache).
-  SessionBuilder& WithStorageFaults(FaultSchedule schedule);
-  /// Retry/backoff policy for failed backing Gets.
-  SessionBuilder& WithIoRetry(IoScheduler::RetryPolicy policy);
-  /// Hedged duplicate Gets for slow primaries.
-  SessionBuilder& WithIoHedging(IoScheduler::HedgePolicy policy);
-  /// Quarantines a source after `after_failures` consecutive failed gathers,
-  /// renormalizing the mixture over the survivors; re-probes every
-  /// `probe_interval` steps for re-admission.
-  SessionBuilder& WithSourceQuarantine(int32_t after_failures,
-                                       int64_t probe_interval = 16);
-  /// Produce-round retry budget for transient failures (1 = halt on first).
-  SessionBuilder& WithProduceRetries(int32_t attempts);
-  /// Heartbeat watchdog: scans every `interval_ms`, promoting shadows of
-  /// loaders silent for `heartbeat_timeout_ms` (needs WithFaultTolerance).
-  SessionBuilder& WithWatchdog(int64_t interval_ms,
-                               int64_t heartbeat_timeout_ms = 5000);
-  /// Overrides the planner's per-gather RPC timeout.
-  SessionBuilder& WithLoaderRpcTimeout(int64_t timeout_ms);
-  /// Checkpoints into `dir` every `every_n_steps` produced steps.
-  SessionBuilder& WithAutoCheckpoint(std::string dir, int64_t every_n_steps);
-  /// Keeps only the newest `generations` ckpt-* generations after each publish.
-  SessionBuilder& WithCheckpointRetention(int32_t generations);
-  /// Binds the session to a shared multi-tenant I/O plane as tenant `tenant`
-  /// (src/service/): loader reads go through the plane's cache + fair-share
-  /// scheduler instead of a session-owned one. Normally set by DataService.
-  SessionBuilder& WithSharedIoPlane(SharedIoPlane* plane,
-                                    IoTenantId tenant = kDefaultIoTenant);
-  /// Namespace for durable GCS state on the shared plane ("gcs/<ns>/").
-  SessionBuilder& WithGcsNamespace(std::string ns);
-  /// Master switch for the metrics registry + step tracer (on by default).
-  SessionBuilder& WithTelemetry(bool enabled = true);
-  /// Spans retained in the trace ring (0 = no tracing, metrics stay on).
-  SessionBuilder& WithTraceRing(int64_t spans);
-  /// Health monitor: per-step stall attribution + SLO anomaly detection +
-  /// flight recorder (src/telemetry/health.h). `health.enabled` is forced on.
-  SessionBuilder& WithHealthMonitor(HealthOptions health);
-
-  /// Materializes the corpus, spawns the actors, starts the prefetch
-  /// pipeline, and returns the ready Session.
-  Result<std::unique_ptr<Session>> Build();
-
- private:
-  Session::Options options_;
 };
 
 }  // namespace msd

@@ -11,7 +11,7 @@
 // Zero-copy data plane (ownership model):
 //  - BuildStep takes the loaders' `shared_ptr<Sample>`s, indexes them by id,
 //    and materializes each padded sequence payload exactly once into frozen
-//    TokenBuffers (see token_buffer.h). No Sample is copied on this path.
+//    PayloadBuffers (see payload_buffer.h). No Sample is copied on this path.
 //  - Plan assembly groups `plan.assignments` by (bucket, microbatch) in one
 //    pass; per-bin assembly then walks only its own assignment slice instead
 //    of rescanning the whole plan per bin.
@@ -27,8 +27,8 @@
 // Step lifetime under the streaming API: the prefetch pipeline builds steps
 // ahead of consumption and retires them by refcount — once every rank of the
 // mesh has fetched a step, ReleaseStep drops its StepData eagerly. The
-// resident_steps window remains as the backstop for consumers that never
-// complete a step (the deprecated lockstep shim, partial fetchers).
+// resident_steps window remains as the backstop for steps some rank never
+// completes (a failed fetch, a rank dropped by a shrinking reshard).
 //
 // Thread-safety: all public methods are safe to call concurrently. In the
 // actor deployment calls are already serialized through the mailbox; the

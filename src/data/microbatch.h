@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/data/payload_buffer.h"
 #include "src/data/sample.h"
-#include "src/data/token_buffer.h"
 
 namespace msd {
 

@@ -258,7 +258,7 @@ void Planner::StampMixture(int64_t step, const std::vector<BufferInfo>& buffer_i
 Status Planner::CommitMixtureOverride(int64_t effective_step, std::vector<double> weights) {
   if (config_.mixture == nullptr) {
     return Status::FailedPrecondition(
-        "mixture overrides need a MixtureSchedule (SessionBuilder::WithMixtureSchedule)");
+        "mixture overrides need a MixtureSchedule (Session::Options::mixture_schedule)");
   }
   const int64_t effective = effective_step < 0 ? next_unplanned_ : effective_step;
   if (effective < next_unplanned_) {

@@ -122,7 +122,7 @@ class SharedIoPlane {
   // cache budget on the cache, and — when `faults` is enabled — a private
   // fault-injecting route wrapping the shared remote store (fault(latency(
   // base)), same stacking as single-tenant chaos sessions). Returns the id
-  // to pass to SessionBuilder::WithSharedIoPlane.
+  // to pass as Session::Options::io_tenant.
   Result<IoTenantId> AddTenant(const std::string& name, const TenantQuota& quota,
                                FaultSchedule faults = {});
 

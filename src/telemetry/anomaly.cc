@@ -11,10 +11,14 @@ AnomalyDetector::AnomalyDetector(SloPolicy policy) : policy_(policy) {
   MSD_CHECK(policy_.trigger_after >= 1);
   MSD_CHECK(policy_.clear_after >= 1);
   MSD_CHECK(policy_.ewma_alpha > 0.0 && policy_.ewma_alpha <= 1.0);
-  latency_ = Signal{.name = "step_latency_ms", .direction = Direction::kFactorAbove};
-  throughput_ = Signal{.name = "tokens_per_sec", .direction = Direction::kFactorBelow};
-  hit_rate_ = Signal{.name = "cache_hit_rate", .direction = Direction::kDropBelow};
-  retry_rate_ = Signal{.name = "io_retry_rate", .direction = Direction::kRiseAbove};
+  latency_.name = "step_latency_ms";
+  latency_.direction = Direction::kFactorAbove;
+  throughput_.name = "tokens_per_sec";
+  throughput_.direction = Direction::kFactorBelow;
+  hit_rate_.name = "cache_hit_rate";
+  hit_rate_.direction = Direction::kDropBelow;
+  retry_rate_.name = "io_retry_rate";
+  retry_rate_.direction = Direction::kRiseAbove;
 }
 
 double AnomalyDetector::Threshold(const Signal& sig) const {

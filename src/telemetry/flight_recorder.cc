@@ -121,7 +121,7 @@ Result<std::string> FlightRecorder::Dump(const std::string& reason,
     if (i > 0) {
       manifest += ",";
     }
-    manifest += "\"" + JsonEscape(artifacts[i].filename) + "\"";
+    manifest.append("\"").append(JsonEscape(artifacts[i].filename)).append("\"");
   }
   manifest += "]}";
   MSD_RETURN_IF_ERROR(WriteFile(tmp_dir / "MANIFEST.json", manifest));

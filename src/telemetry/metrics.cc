@@ -171,7 +171,7 @@ std::string RenderPrometheus(const TelemetrySnapshot& snapshot) {
       if (!tenant_label.empty()) {
         out += "{" + tenant_label + "}";
       }
-      out += " " + FormatValue(p.value) + "\n";
+      out.append(" ").append(FormatValue(p.value)).append("\n");
       continue;
     }
     // Histogram: cumulative le-buckets, then _sum and _count.
@@ -206,11 +206,11 @@ std::string RenderJson(const TelemetrySnapshot& snapshot) {
     } else {
       out += ",\"bounds\":[";
       for (size_t b = 0; b < p.bounds.size(); ++b) {
-        out += (b > 0 ? "," : "") + FormatValue(p.bounds[b]);
+        out.append(b > 0 ? "," : "").append(FormatValue(p.bounds[b]));
       }
       out += "],\"buckets\":[";
       for (size_t b = 0; b < p.buckets.size(); ++b) {
-        out += (b > 0 ? "," : "") + std::to_string(p.buckets[b]);
+        out.append(b > 0 ? "," : "").append(std::to_string(p.buckets[b]));
       }
       out += "],\"sum\":" + FormatValue(p.sum) + ",\"count\":" + std::to_string(p.count);
     }

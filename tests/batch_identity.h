@@ -1,17 +1,39 @@
-// Shared test helper: full byte-level RankBatch comparison — metadata,
-// packing shape, token/position payloads, and per-segment pixel payloads.
-// Every suite that asserts stream identity (dataplane, pipeline, io,
-// checkpoint, kill -9) uses THIS helper, so a new payload field added to
-// PackedSequence only needs one comparison site updated.
+// Shared test helpers for stream identity:
+//  - StreamStep pulls one step for every rank of a Session through its
+//    DataClients, in rank order.
+//  - ExpectBatchesIdentical is the full byte-level RankBatch comparison —
+//    metadata, packing shape, token/position payloads, and per-segment pixel
+//    payloads. Every suite that asserts stream identity (dataplane, pipeline,
+//    io, checkpoint, kill -9) uses THIS helper, so a new payload field added
+//    to PackedSequence only needs one comparison site updated.
 #ifndef TESTS_BATCH_IDENTITY_H_
 #define TESTS_BATCH_IDENTITY_H_
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/api/session.h"
 #include "src/constructor/data_constructor.h"
 
 namespace msd {
 namespace testing {
+
+// Pulls the next step's batch for every rank, rank 0 first. At prefetch depth
+// 0, rank 0's pull produces the step inline, so scripted events between calls
+// stay aligned with step boundaries.
+inline std::vector<RankBatch> StreamStep(Session& session) {
+  const int32_t world = session.tree().spec().WorldSize();
+  std::vector<RankBatch> batches(static_cast<size_t>(world));
+  for (int32_t rank = 0; rank < world; ++rank) {
+    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (batch.ok()) {
+      batches[static_cast<size_t>(rank)] = std::move(batch.value());
+    }
+  }
+  return batches;
+}
 
 inline void ExpectBatchesIdentical(const RankBatch& got, const RankBatch& want) {
   EXPECT_EQ(got.rank, want.rank);

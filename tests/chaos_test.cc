@@ -45,6 +45,7 @@ namespace msd {
 namespace {
 
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 
 Session::Options BaseOptions(int32_t prefetch_depth = 2) {
   Session::Options options;
@@ -79,18 +80,6 @@ Session::Options ChaosOptions(int32_t prefetch_depth = 2) {
   return options;
 }
 
-// Pulls one step's batch for every rank through the streaming clients.
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
-
 void ExpectStepIdentical(Session& chaos, Session& calm) {
   std::vector<RankBatch> got = StreamStep(chaos);
   std::vector<RankBatch> want = StreamStep(calm);
@@ -98,19 +87,6 @@ void ExpectStepIdentical(Session& chaos, Session& calm) {
   for (size_t rank = 0; rank < got.size(); ++rank) {
     ExpectBatchesIdentical(got[rank], want[rank]);
   }
-}
-
-// Advances the synchronous shim one step and fetches every rank's batch.
-std::vector<RankBatch> ShimStep(Session& session) {
-  EXPECT_TRUE(session.AdvanceStep().ok());
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.GetBatch(rank);
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +165,7 @@ std::vector<RankBatch> RunScriptedBrownout(std::map<int32_t, int64_t>* quarantin
   std::vector<RankBatch> collected;
   auto stream = [&](int64_t steps) {
     for (int64_t s = 0; s < steps; ++s) {
-      std::vector<RankBatch> batches = ShimStep(**session);
+      std::vector<RankBatch> batches = StreamStep(**session);
       collected.insert(collected.end(), batches.begin(), batches.end());
     }
   };

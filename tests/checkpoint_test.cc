@@ -63,18 +63,7 @@ Session::Options BaseOptions(int32_t prefetch_depth = 2) {
 }
 
 using testing::ExpectBatchesIdentical;
-
-// Pulls one step's batch for every rank through the streaming clients.
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
+using testing::StreamStep;
 
 void ExpectStepsIdentical(Session& got, Session& want, int64_t steps) {
   const int32_t world = got.tree().spec().WorldSize();
@@ -251,19 +240,20 @@ TEST_F(CheckpointTest, FluentResumeFromMatchesOptionsPath) {
     StreamStep(**session);
     ASSERT_TRUE((*session)->Checkpoint(dir_).ok());
   }
-  auto resumed = SessionBuilder()
-                     .WithCorpus(MakeCoyo700m())
-                     .WithMesh(BaseOptions().spec)
-                     .WithMicrobatches(2)
-                     .WithSamplesPerStep(12)
-                     .WithMaxSeqLen(1024)
-                     .WithRowsPerFile(96)
-                     .WithLoaderWorkers(1)
-                     .WithPrefetchDepth(2)
-                     .ResumeFrom(dir_)
-                     .Build();
+  // A resume spelled out field by field (not a copy of the checkpointed
+  // job's options) still matches its fingerprint.
+  Session::Options options;
+  options.corpus = MakeCoyo700m();
+  options.spec = BaseOptions().spec;
+  options.num_microbatches = 2;
+  options.samples_per_step = 12;
+  options.max_seq_len = 1024;
+  options.rows_per_file_override = 96;
+  options.loader_workers = 1;
+  options.prefetch_depth = 2;
+  options.resume_dir = dir_;
+  auto resumed = Session::Create(std::move(options));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ((*resumed)->current_step(), 0);  // shim cursor sits at the frontier
   Result<RankBatch> batch = (*resumed)->client(0).value()->NextBatch();
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->step, 1);  // continues, does not restart

@@ -114,6 +114,7 @@ class DataPlaneTest : public ::testing::Test {
 };
 
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 
 TEST_F(DataPlaneTest, GoldenEquivalenceOnCpPpMesh) {
   ParallelismSpec spec{.dp = 2, .pp = 2, .cp = 2, .tp = 1};
@@ -401,17 +402,6 @@ TEST(DataPlanePixelResumeTest, PixelStreamSurvivesCheckpointResume) {
   options.rows_per_file_override = 64;
   options.loader_workers = 1;
   options.prefetch_depth = 2;
-
-  auto StreamStep = [](Session& session) {
-    const int32_t world = session.tree().spec().WorldSize();
-    std::vector<RankBatch> batches(static_cast<size_t>(world));
-    for (int32_t rank = 0; rank < world; ++rank) {
-      Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-      EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-      batches[static_cast<size_t>(rank)] = std::move(batch.value());
-    }
-    return batches;
-  };
 
   {
     auto session = Session::Create(options);

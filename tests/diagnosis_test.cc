@@ -41,6 +41,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 using testing::JsonParser;
 using testing::JsonValue;
 using testing::ScratchDir;
@@ -379,7 +380,7 @@ TEST(FlightRecorderTest, RetentionKeepsNewestAndRestartResumesNumbering) {
   {
     FlightRecorder recorder({.dir = dir, .keep_bundles = 2, .min_interval_ms = 0});
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(recorder.Dump("r" + std::to_string(i), {{"a.txt", "a"}}).ok());
+      ASSERT_TRUE(recorder.Dump(std::string("r").append(std::to_string(i)), {{"a.txt", "a"}}).ok());
     }
   }
   EXPECT_FALSE(fs::exists(fs::path(dir) / "bundle-0"));
@@ -413,17 +414,6 @@ Session::Options HealthSessionOptions() {
   options.block_cache_bytes = 32 * kMiB;
   options.storage_get_latency = 100;  // 0.1 ms: remote, but test-fast
   return options;
-}
-
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
 }
 
 TEST(SessionHealthTest, RejectsMonitorWithoutItsPrerequisites) {

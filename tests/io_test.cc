@@ -563,17 +563,7 @@ Session::Options IoOptions() {
 }
 
 using testing::ExpectBatchesIdentical;
-
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
+using testing::StreamStep;
 
 void ExpectMatchesReference(const PrefetchPipeline::Capture& capture,
                             const ParallelismSpec& spec, int32_t num_microbatches,

@@ -63,18 +63,8 @@ Session::Options JobOptions() {
   return options;
 }
 
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
-
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 
 // ---- Child payload ---------------------------------------------------------
 

@@ -34,35 +34,11 @@ namespace msd {
 namespace {
 
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 
 // ---------------------------------------------------------------------------
 // Shared helpers (same idioms as checkpoint_test / pipeline_test).
 // ---------------------------------------------------------------------------
-
-// Pulls one step's batch for every rank through the streaming clients.
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
-
-// Advances the synchronous shim one step and fetches every rank's batch.
-std::vector<RankBatch> ShimStep(Session& session) {
-  EXPECT_TRUE(session.AdvanceStep().ok());
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.GetBatch(rank);
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
 
 void ExpectStepsIdentical(Session& got, Session& want, int64_t steps) {
   const int32_t world = got.tree().spec().WorldSize();
@@ -490,7 +466,7 @@ std::vector<RankBatch> RunQuarantineAtPhaseBoundary(std::map<int32_t, int64_t>* 
   std::vector<RankBatch> collected;
   auto stream = [&](int64_t steps) {
     for (int64_t s = 0; s < steps; ++s) {
-      std::vector<RankBatch> batches = ShimStep(**session);
+      std::vector<RankBatch> batches = StreamStep(**session);
       collected.insert(collected.end(), batches.begin(), batches.end());
     }
   };

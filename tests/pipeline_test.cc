@@ -1,9 +1,9 @@
 // Streaming API equivalence and pipeline behavior: batches served through
-// per-rank DataClients at prefetch depth >= 2 must be byte-identical to the
-// deprecated synchronous shim path (AdvanceStep/GetBatch at depth 0) and to
-// the scalar ReferenceDataPlane — including across a mid-stream Reshard()
-// and a KillAndRecoverLoader() drain. Plus refcounted step retirement,
-// async pulls, and backpressure bounds.
+// per-rank DataClients at prefetch depth 2 must be byte-identical to a
+// depth-0 session (the synchronous lockstep baseline, also read through
+// clients) and to the scalar ReferenceDataPlane — including across a
+// mid-stream Reshard() and a KillAndRecoverLoader() drain. Plus refcounted
+// step retirement, async pulls, and backpressure bounds.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -31,6 +31,7 @@ Session::Options PipelineOptions(int32_t prefetch_depth) {
 }
 
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 
 // Replays a captured step (plan + pop slices) through the frozen scalar
 // reference plane and checks every rank's streamed batch against it.
@@ -58,33 +59,10 @@ void ExpectMatchesReference(const PrefetchPipeline::Capture& capture,
   }
 }
 
-// Pulls one step's batch for every rank through the streaming clients.
-std::vector<RankBatch> StreamStep(Session& session) {
-  std::vector<RankBatch> batches(static_cast<size_t>(session.tree().spec().WorldSize()));
-  for (int32_t rank = 0; rank < session.tree().spec().WorldSize(); ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
-
-// Advances the deprecated lockstep shim one step and fetches every rank.
-std::vector<RankBatch> ShimStep(Session& session) {
-  EXPECT_TRUE(session.AdvanceStep().ok());
-  std::vector<RankBatch> batches(static_cast<size_t>(session.tree().spec().WorldSize()));
-  for (int32_t rank = 0; rank < session.tree().spec().WorldSize(); ++rank) {
-    Result<RankBatch> batch = session.GetBatch(rank);
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
-}
-
 TEST(PipelineEquivalenceTest, StreamingMatchesShimAndReference) {
-  auto shim = Session::Create(PipelineOptions(/*prefetch_depth=*/0));
+  auto lockstep = Session::Create(PipelineOptions(/*prefetch_depth=*/0));
   auto stream = Session::Create(PipelineOptions(/*prefetch_depth=*/2));
-  ASSERT_TRUE(shim.ok());
+  ASSERT_TRUE(lockstep.ok());
   ASSERT_TRUE(stream.ok());
   const ParallelismSpec spec = PipelineOptions(0).spec;
   for (int64_t step = 0; step < 3; ++step) {
@@ -92,10 +70,10 @@ TEST(PipelineEquivalenceTest, StreamingMatchesShimAndReference) {
     Result<PrefetchPipeline::Capture> capture = (*stream)->CaptureStep(step);
     ASSERT_TRUE(capture.ok()) << capture.status().ToString();
     std::vector<RankBatch> streamed = StreamStep(**stream);
-    std::vector<RankBatch> lockstep = ShimStep(**shim);
+    std::vector<RankBatch> baseline = StreamStep(**lockstep);
     for (int32_t rank = 0; rank < spec.WorldSize(); ++rank) {
       ExpectBatchesIdentical(streamed[static_cast<size_t>(rank)],
-                             lockstep[static_cast<size_t>(rank)]);
+                             baseline[static_cast<size_t>(rank)]);
     }
     ExpectMatchesReference(capture.value(), spec, /*num_microbatches=*/2,
                            /*max_seq_len=*/1024, streamed);
@@ -103,17 +81,17 @@ TEST(PipelineEquivalenceTest, StreamingMatchesShimAndReference) {
 }
 
 TEST(PipelineEquivalenceTest, ReshardMidStreamRebuildsPrefetchedSteps) {
-  auto shim = Session::Create(PipelineOptions(0));
+  auto lockstep = Session::Create(PipelineOptions(0));
   auto stream = Session::Create(PipelineOptions(2));
-  ASSERT_TRUE(shim.ok());
+  ASSERT_TRUE(lockstep.ok());
   ASSERT_TRUE(stream.ok());
   const ParallelismSpec before = PipelineOptions(0).spec;
   for (int64_t step = 0; step < 2; ++step) {
     std::vector<RankBatch> streamed = StreamStep(**stream);
-    std::vector<RankBatch> lockstep = ShimStep(**shim);
+    std::vector<RankBatch> baseline = StreamStep(**lockstep);
     for (int32_t rank = 0; rank < before.WorldSize(); ++rank) {
       ExpectBatchesIdentical(streamed[static_cast<size_t>(rank)],
-                             lockstep[static_cast<size_t>(rank)]);
+                             baseline[static_cast<size_t>(rank)]);
     }
   }
   // Mid-stream reshard: CP 2 -> 1 (world 8 -> 4). The streaming session has
@@ -121,15 +99,15 @@ TEST(PipelineEquivalenceTest, ReshardMidStreamRebuildsPrefetchedSteps) {
   // retained slices, not re-popped or dropped.
   ParallelismSpec after{.dp = 2, .pp = 2, .cp = 1, .tp = 1};
   ASSERT_TRUE((*stream)->Reshard(after).ok());
-  ASSERT_TRUE((*shim)->Reshard(after).ok());
+  ASSERT_TRUE((*lockstep)->Reshard(after).ok());
   for (int64_t step = 2; step < 4; ++step) {
     Result<PrefetchPipeline::Capture> capture = (*stream)->CaptureStep(step);
     ASSERT_TRUE(capture.ok()) << capture.status().ToString();
     std::vector<RankBatch> streamed = StreamStep(**stream);
-    std::vector<RankBatch> lockstep = ShimStep(**shim);
+    std::vector<RankBatch> baseline = StreamStep(**lockstep);
     for (int32_t rank = 0; rank < after.WorldSize(); ++rank) {
       ExpectBatchesIdentical(streamed[static_cast<size_t>(rank)],
-                             lockstep[static_cast<size_t>(rank)]);
+                             baseline[static_cast<size_t>(rank)]);
     }
     ExpectMatchesReference(capture.value(), after, 2, 1024, streamed);
   }
@@ -141,33 +119,33 @@ TEST(PipelineEquivalenceTest, ReshardMidStreamRebuildsPrefetchedSteps) {
 }
 
 TEST(PipelineEquivalenceTest, RecoveryDrainKeepsEquivalence) {
-  Session::Options shim_options = PipelineOptions(0);
-  shim_options.enable_fault_tolerance = true;
+  Session::Options lockstep_options = PipelineOptions(0);
+  lockstep_options.enable_fault_tolerance = true;
   Session::Options stream_options = PipelineOptions(2);
   stream_options.enable_fault_tolerance = true;
-  auto shim = Session::Create(shim_options);
+  auto lockstep = Session::Create(lockstep_options);
   auto stream = Session::Create(stream_options);
-  ASSERT_TRUE(shim.ok());
+  ASSERT_TRUE(lockstep.ok());
   ASSERT_TRUE(stream.ok());
-  const ParallelismSpec spec = shim_options.spec;
+  const ParallelismSpec spec = lockstep_options.spec;
   for (int64_t step = 0; step < 2; ++step) {
     StreamStep(**stream);
-    ShimStep(**shim);
+    StreamStep(**lockstep);
   }
   // The drain quiesces the producer mid-stream, so the kill cannot race an
   // in-flight pop; the shadow was mirrored for every produced (not just
-  // consumed) step, so post-promotion pops match the shim session exactly.
+  // consumed) step, so post-promotion pops match the depth-0 session exactly.
   Result<std::string> stream_promoted = (*stream)->KillAndRecoverLoader(0);
-  Result<std::string> shim_promoted = (*shim)->KillAndRecoverLoader(0);
+  Result<std::string> lockstep_promoted = (*lockstep)->KillAndRecoverLoader(0);
   ASSERT_TRUE(stream_promoted.ok()) << stream_promoted.status().ToString();
-  ASSERT_TRUE(shim_promoted.ok());
+  ASSERT_TRUE(lockstep_promoted.ok());
   EXPECT_NE(stream_promoted->find("shadow_loader/"), std::string::npos);
   for (int64_t step = 2; step < 4; ++step) {
     std::vector<RankBatch> streamed = StreamStep(**stream);
-    std::vector<RankBatch> lockstep = ShimStep(**shim);
+    std::vector<RankBatch> baseline = StreamStep(**lockstep);
     for (int32_t rank = 0; rank < spec.WorldSize(); ++rank) {
       ExpectBatchesIdentical(streamed[static_cast<size_t>(rank)],
-                             lockstep[static_cast<size_t>(rank)]);
+                             baseline[static_cast<size_t>(rank)]);
     }
   }
 }
@@ -261,26 +239,7 @@ TEST(DataClientTest, RankBoundsAreChecked) {
   EXPECT_EQ((*session)->client(-1).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SessionBuilderTest, FluentPathMatchesOptionsPath) {
-  auto built = SessionBuilder()
-                   .WithCorpus(MakeCoyo700m())
-                   .WithMesh({.dp = 2, .pp = 1, .cp = 1, .tp = 1})
-                   .WithMicrobatches(2)
-                   .WithSamplesPerStep(16)
-                   .WithMaxSeqLen(1024)
-                   .WithRowsPerFile(48)
-                   .WithLoaderWorkers(1)
-                   .WithPrefetchDepth(1)
-                   .Build();
-  ASSERT_TRUE(built.ok());
-  EXPECT_EQ((*built)->tree().spec().WorldSize(), 2);
-  ASSERT_TRUE((*built)->client(0).ok());
-  Result<RankBatch> batch = (*built)->client(0).value()->NextBatch();
-  ASSERT_TRUE(batch.ok());
-  EXPECT_FALSE(batch->microbatches.empty());
-}
-
-TEST(SessionBuilderTest, InvalidPrefetchDepthRejected) {
+TEST(SessionOptionsTest, InvalidPrefetchDepthRejected) {
   Session::Options options = PipelineOptions(-1);
   EXPECT_EQ(Session::Create(std::move(options)).status().code(),
             StatusCode::kInvalidArgument);

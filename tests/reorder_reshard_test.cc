@@ -2,10 +2,15 @@
 // (deferred image decode) and elastic resharding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/api/session.h"
+#include "tests/batch_identity.h"
 
 namespace msd {
 namespace {
+
+using testing::StreamStep;
 
 class DeferredDecodeTest : public ::testing::Test {
  protected:
@@ -98,8 +103,7 @@ TEST(SessionReorderTest, EndToEndWithDeferredDecode) {
   options.defer_image_decode = true;
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  RankBatch batch = (*session)->GetBatch(0).value();
+  RankBatch batch = StreamStep(**session)[0];
   EXPECT_FALSE(batch.microbatches.empty());
 }
 
@@ -112,16 +116,15 @@ TEST(SessionReshardTest, CpReshardTakesEffectNextStep) {
   options.max_seq_len = 1024;
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  RankBatch before = (*session)->GetBatch(0).value();
+  RankBatch before = StreamStep(**session)[0];
   const PackedSequence& full = before.microbatches[0].sequences[0];
   EXPECT_EQ(static_cast<int32_t>(full.tokens.size()), full.padded_to);
 
   // Grow CP 1 -> 2 (e.g. the job was resharded for longer contexts).
   ASSERT_TRUE((*session)->Reshard({.dp = 2, .pp = 1, .cp = 2, .tp = 1}).ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  RankBatch cp0 = (*session)->GetBatch(0).value();
-  RankBatch cp1 = (*session)->GetBatch(1).value();  // now (dp0, cp1)
+  std::vector<RankBatch> after = StreamStep(**session);
+  const RankBatch& cp0 = after[0];
+  const RankBatch& cp1 = after[1];  // now (dp0, cp1)
   const PackedSequence& half0 = cp0.microbatches[0].sequences[0];
   const PackedSequence& half1 = cp1.microbatches[0].sequences[0];
   EXPECT_EQ(half0.sample_ids, half1.sample_ids);
@@ -148,13 +151,16 @@ TEST(SessionReshardTest, OldStepsDroppedAfterReshard) {
   options.rows_per_file_override = 48;
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
+  StreamStep(**session);
   ASSERT_TRUE((*session)->Reshard({.dp = 1, .pp = 2, .cp = 1, .tp = 1}).ok());
-  // The pre-reshard step's resident data was dropped with the old topology.
-  EXPECT_FALSE((*session)->GetBatch(0).ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  EXPECT_TRUE((*session)->GetBatch(0).ok());
-  EXPECT_TRUE((*session)->GetBatch(1).value().metadata_only);  // new PP stage
+  // The consumed pre-reshard step is gone; only the prefetched steps,
+  // rebuilt for the new mesh, stay resident.
+  for (const std::vector<int64_t>& resident : (*session)->ConstructorResidentSteps()) {
+    EXPECT_EQ(std::count(resident.begin(), resident.end(), 0), 0);
+  }
+  std::vector<RankBatch> batches = StreamStep(**session);
+  EXPECT_EQ(batches[0].step, 1);
+  EXPECT_TRUE(batches[1].metadata_only);  // new PP stage
 }
 
 }  // namespace

@@ -38,6 +38,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 
 Session::Options TenantSessionOptions(CorpusSpec corpus) {
   Session::Options options;
@@ -58,17 +59,6 @@ SharedIoPlaneConfig TestPlaneConfig() {
   config.cache_bytes = 64 * kMiB;
   config.storage_get_latency = 200;  // 0.2 ms: remote, but test-fast
   return config;
-}
-
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
 }
 
 void ExpectStepIdentical(Session& tenant, Session& solo) {
@@ -129,13 +119,14 @@ TEST(ServiceTest, CrossTenantDedupSharesBackingGetsAndStaysByteIdentical) {
   EXPECT_GT(service.plane()->cache_stats().cross_tenant_hits, 0);
   // Per-tenant scheduler views carry the traffic split; both tenants issued
   // requests and the aggregate equals the sum over tenants (no double count,
-  // nothing dropped).
-  DataService::TenantStats sa = service.tenant_stats("job-a").value();
-  DataService::TenantStats sb = service.tenant_stats("job-b").value();
-  EXPECT_GT(sa.scheduler.requests, 0);
-  EXPECT_GT(sb.scheduler.requests, 0);
-  EXPECT_EQ(sa.scheduler.requests + sb.scheduler.requests,
-            service.plane()->scheduler_stats().requests);
+  // nothing dropped). The tenants' producers keep prefetching while this
+  // runs, so the slices and the aggregate must come from one cut.
+  DataService::ServiceSnapshot snap = service.MetricsSnapshot();
+  const IoScheduler::Stats& sa = snap.tenants.at("job-a").scheduler;
+  const IoScheduler::Stats& sb = snap.tenants.at("job-b").scheduler;
+  EXPECT_GT(sa.requests, 0);
+  EXPECT_GT(sb.requests, 0);
+  EXPECT_EQ(sa.requests + sb.requests, snap.scheduler.requests);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,8 +273,8 @@ TEST(ServiceTest, FairShareDispatchFollowsWeights) {
   auto blocker = io.Fetch("blocker", 0, 8);
   std::vector<std::shared_future<IoScheduler::BlockResult>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(io.Fetch("h" + std::to_string(i), 0, 8, false, kHeavy));
-    futures.push_back(io.Fetch("l" + std::to_string(i), 0, 8, false, kLight));
+    futures.push_back(io.Fetch(std::string("h").append(std::to_string(i)), 0, 8, false, kHeavy));
+    futures.push_back(io.Fetch(std::string("l").append(std::to_string(i)), 0, 8, false, kLight));
   }
   store.Release();
   for (auto& f : futures) {

@@ -6,9 +6,12 @@
 #include <set>
 
 #include "src/api/session.h"
+#include "tests/batch_identity.h"
 
 namespace msd {
 namespace {
+
+using testing::StreamStep;
 
 Session::Options SmallOptions() {
   Session::Options options;
@@ -26,27 +29,20 @@ TEST(SessionTest, CreateAndAdvance) {
   auto session = Session::Create(SmallOptions());
   ASSERT_TRUE(session.ok());
   EXPECT_GE((*session)->num_loaders(), 5u);  // at least one per source
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  EXPECT_EQ((*session)->current_step(), 0);
-  EXPECT_EQ((*session)->last_stats().samples, 16u);
-}
-
-TEST(SessionTest, GetBatchBeforeAdvanceFails) {
-  auto session = Session::Create(SmallOptions());
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->GetBatch(0).status().code(), StatusCode::kFailedPrecondition);
+  Result<Session::StepStats> stats = (*session)->StepStatsFor(0);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->samples, 16u);
+  std::vector<RankBatch> batches = StreamStep(**session);
+  EXPECT_EQ(batches[0].step, 0);
 }
 
 TEST(SessionTest, BatchesDeliverRealTokens) {
   auto session = Session::Create(SmallOptions());
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
   std::set<uint64_t> all_samples;
-  for (int32_t rank = 0; rank < 2; ++rank) {
-    Result<RankBatch> batch = (*session)->GetBatch(rank);
-    ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(batch->microbatches.size(), 2u);
-    for (const Microbatch& mb : batch->microbatches) {
+  for (const RankBatch& batch : StreamStep(**session)) {
+    EXPECT_EQ(batch.microbatches.size(), 2u);
+    for (const Microbatch& mb : batch.microbatches) {
       for (const PackedSequence& seq : mb.sequences) {
         EXPECT_FALSE(seq.tokens.empty());
         EXPECT_EQ(seq.tokens.size(), seq.position_ids.size());
@@ -64,8 +60,7 @@ TEST(SessionTest, MultipleStepsDeliverFreshSamples) {
   ASSERT_TRUE(session.ok());
   std::set<uint64_t> seen;
   for (int step = 0; step < 4; ++step) {
-    ASSERT_TRUE((*session)->AdvanceStep().ok());
-    RankBatch batch = (*session)->GetBatch(0).value();
+    RankBatch batch = StreamStep(**session)[0];
     for (const Microbatch& mb : batch.microbatches) {
       for (const PackedSequence& seq : mb.sequences) {
         for (uint64_t id : seq.sample_ids) {
@@ -92,9 +87,11 @@ TEST(SessionTest, HybridBalanceReducesImbalance) {
   // compare the balanced session against the theoretical 1.0.
   double balanced_total = 0.0;
   for (int step = 0; step < 4; ++step) {
-    ASSERT_TRUE((*b)->AdvanceStep().ok());
-    balanced_total += (*b)->last_stats().dp_imbalance;
-    ASSERT_TRUE((*v)->AdvanceStep().ok());
+    Result<Session::StepStats> stats = (*b)->StepStatsFor(step);
+    ASSERT_TRUE(stats.ok());
+    balanced_total += stats->dp_imbalance;
+    StreamStep(**b);
+    StreamStep(**v);
   }
   EXPECT_LT(balanced_total / 4.0, 1.25);
 }
@@ -104,9 +101,9 @@ TEST(SessionTest, CpRanksReceiveSlicedSequences) {
   options.spec = {.dp = 1, .pp = 1, .cp = 2, .tp = 1};
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  RankBatch cp0 = (*session)->GetBatch(0).value();
-  RankBatch cp1 = (*session)->GetBatch(1).value();
+  std::vector<RankBatch> batches = StreamStep(**session);
+  const RankBatch& cp0 = batches[0];
+  const RankBatch& cp1 = batches[1];
   ASSERT_FALSE(cp0.microbatches.empty());
   ASSERT_FALSE(cp0.microbatches[0].sequences.empty());
   const PackedSequence& s0 = cp0.microbatches[0].sequences[0];
@@ -120,9 +117,9 @@ TEST(SessionTest, PpStageOneGetsMetadataOnly) {
   options.spec = {.dp = 1, .pp = 2, .cp = 1, .tp = 1};
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  EXPECT_FALSE((*session)->GetBatch(0).value().metadata_only);
-  EXPECT_TRUE((*session)->GetBatch(1).value().metadata_only);
+  std::vector<RankBatch> batches = StreamStep(**session);
+  EXPECT_FALSE(batches[0].metadata_only);
+  EXPECT_TRUE(batches[1].metadata_only);
 }
 
 TEST(SessionTest, HybridStrategyWorksEndToEnd) {
@@ -130,8 +127,7 @@ TEST(SessionTest, HybridStrategyWorksEndToEnd) {
   options.strategy = Session::StrategyKind::kHybridBalance;
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  EXPECT_TRUE((*session)->GetBatch(0).ok());
+  EXPECT_TRUE((*session)->client(0).value()->NextBatch().ok());
 }
 
 TEST(SessionTest, CurriculumScheduleShiftsSources) {
@@ -145,7 +141,7 @@ TEST(SessionTest, CurriculumScheduleShiftsSources) {
 
   auto sources_served = [&]() {
     std::set<int32_t> sources;
-    RankBatch batch = (*session)->GetBatch(0).value();
+    RankBatch batch = StreamStep(**session)[0];
     for (const Microbatch& mb : batch.microbatches) {
       for (const PackedSequence& seq : mb.sequences) {
         for (uint64_t id : seq.sample_ids) {
@@ -155,11 +151,9 @@ TEST(SessionTest, CurriculumScheduleShiftsSources) {
     }
     return sources;
   };
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  std::set<int32_t> early = sources_served();
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
-  std::set<int32_t> late = sources_served();
+  std::set<int32_t> early = sources_served();  // step 0
+  StreamStep(**session);                       // step 1
+  std::set<int32_t> late = sources_served();   // step 2
   EXPECT_TRUE(early.count(0) > 0 && early.size() <= 2);
   EXPECT_TRUE(late.count(4) > 0);
   EXPECT_EQ(late.count(0), 0u);
@@ -169,18 +163,22 @@ TEST(SessionTest, StepStatsExposePipelineObservability) {
   auto session = Session::Create(SmallOptions());
   ASSERT_TRUE(session.ok());
   const int kSteps = 3;
+  const int32_t world = (*session)->tree().spec().WorldSize();
   for (int step = 0; step < kSteps; ++step) {
-    ASSERT_TRUE((*session)->AdvanceStep().ok());
-    const Session::StepStats& stats = (*session)->last_stats();
-    EXPECT_EQ(stats.prefetch_depth, 2);  // SmallOptions default
-    EXPECT_LE(stats.prefetch_queue_depth, 2u);  // bounded by the depth
-    EXPECT_GT(stats.build_ahead_ms, 0.0);       // plan+pop+build was measured
-    // Every AdvanceStep wait is classified as exactly one hit or stall.
-    EXPECT_EQ(stats.prefetch_hits + stats.prefetch_stalls, step + 1);
+    Result<Session::StepStats> stats = (*session)->StepStatsFor(step);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->prefetch_depth, 2);  // SmallOptions default
+    EXPECT_LE(stats->prefetch_queue_depth, 2u);  // bounded by the depth
+    EXPECT_GT(stats->build_ahead_ms, 0.0);       // plan+pop+build was measured
+    StreamStep(**session);
+    // Every pull is classified as exactly one hit or stall (the StepStatsFor
+    // wait is pure observability and is not counted).
+    PrefetchPipeline::Stats pipeline = (*session)->pipeline_stats();
+    EXPECT_EQ(pipeline.prefetch_hits + pipeline.prefetch_stalls, (step + 1) * world);
   }
   PrefetchPipeline::Stats pipeline = (*session)->pipeline_stats();
   EXPECT_GE(pipeline.steps_produced, kSteps);
-  EXPECT_GE(pipeline.steps_retired, kSteps - 1);  // lockstep retires as it goes
+  EXPECT_GE(pipeline.steps_retired, kSteps);  // every rank consumed every step
 }
 
 TEST(SessionTest, SynchronousDepthZeroAlwaysStalls) {
@@ -189,17 +187,24 @@ TEST(SessionTest, SynchronousDepthZeroAlwaysStalls) {
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
   for (int step = 0; step < 2; ++step) {
-    ASSERT_TRUE((*session)->AdvanceStep().ok());
+    StreamStep(**session);
   }
-  // No build-ahead: every step was produced on demand.
-  EXPECT_EQ((*session)->last_stats().prefetch_hits, 0);
-  EXPECT_EQ((*session)->last_stats().prefetch_stalls, 2);
+  // No build-ahead: rank 0's pull produced every step on demand (one stall
+  // per step), and the other rank found it already built.
+  PrefetchPipeline::Stats pipeline = (*session)->pipeline_stats();
+  EXPECT_EQ(pipeline.prefetch_stalls, 2);
+  EXPECT_EQ(pipeline.prefetch_hits, 2);
+  ASSERT_EQ(pipeline.rank_stalls.size(), 2u);
+  EXPECT_EQ(pipeline.rank_stalls[0].stalls, 2);
+  EXPECT_EQ(pipeline.rank_stalls[1].stalls, 0);
 }
 
 TEST(SessionTest, MemoryAccountedPerCategory) {
   auto session = Session::Create(SmallOptions());
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
+  // Step 0 is built but not yet consumed, so its batch buffers are resident
+  // (consuming it would release them before the next build lands).
+  ASSERT_TRUE((*session)->StepStatsFor(0).ok());
   const MemoryAccountant& memory = (*session)->memory();
   EXPECT_GT(memory.CategoryTotal(MemCategory::kFileSocket), 0);
   EXPECT_GT(memory.CategoryTotal(MemCategory::kFileMetadata), 0);
@@ -212,14 +217,14 @@ TEST(SessionTest, FaultRecoveryKeepsDelivering) {
   options.enable_fault_tolerance = true;
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->AdvanceStep().ok());
+  StreamStep(**session);
   Result<std::string> promoted = (*session)->KillAndRecoverLoader(0);
   ASSERT_TRUE(promoted.ok());
   EXPECT_NE(promoted->find("shadow_loader/"), std::string::npos);
   // Delivery continues across the failure.
-  for (int step = 0; step < 3; ++step) {
-    ASSERT_TRUE((*session)->AdvanceStep().ok());
-    EXPECT_TRUE((*session)->GetBatch(0).ok());
+  for (int step = 1; step < 4; ++step) {
+    std::vector<RankBatch> batches = StreamStep(**session);
+    EXPECT_EQ(batches[0].step, step);
   }
 }
 

@@ -51,6 +51,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using testing::ExpectBatchesIdentical;
+using testing::StreamStep;
 using testing::ScratchDir;
 
 using testing::JsonParser;
@@ -79,17 +80,6 @@ SharedIoPlaneConfig TestPlaneConfig() {
   config.cache_bytes = 64 * kMiB;
   config.storage_get_latency = 200;  // 0.2 ms: remote, but test-fast
   return config;
-}
-
-std::vector<RankBatch> StreamStep(Session& session) {
-  const int32_t world = session.tree().spec().WorldSize();
-  std::vector<RankBatch> batches(static_cast<size_t>(world));
-  for (int32_t rank = 0; rank < world; ++rank) {
-    Result<RankBatch> batch = session.client(rank).value()->NextBatch();
-    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-    batches[static_cast<size_t>(rank)] = std::move(batch.value());
-  }
-  return batches;
 }
 
 // Thread-safe streaming body: no gtest assertions off the main thread.
