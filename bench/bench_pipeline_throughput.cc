@@ -95,8 +95,7 @@ struct ArmResult {
 // One arm: a persistent consumer thread per rank streaming through its
 // DataClient while the pipeline builds `depth` steps ahead. Ranks meet at a
 // barrier after each step, as data-parallel ranks do at the gradient
-// all-reduce. At depth 0 the barrier is also what keeps a fast rank from
-// producing steps ahead of a slow one: nothing else bounds the window there.
+// all-reduce.
 ArmResult RunArm(const Scenario& s, int32_t depth) {
   auto session = Session::Create(MakeOptions(s, depth));
   MSD_CHECK(session.ok());

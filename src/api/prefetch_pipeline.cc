@@ -237,15 +237,23 @@ Status PrefetchPipeline::WaitProducedLocked(std::unique_lock<std::mutex>& lock, 
   if (config_.depth == 0) {
     // Synchronous mode: produce inline on this thread, in step order. Another
     // consumer may already be producing (or a drain may be in effect); wait
-    // rather than double-run or race the control operation.
+    // rather than double-run or race the control operation. Also wait while
+    // building the next step would evict one that a slower rank has not
+    // fetched yet: the constructors would drop it, and that rank would lose it.
+    const int64_t resident = ResidentStepsForDepth(config_.depth);
+    auto may_produce = [&] {
+      // produce_claimed_ (not in_produce_): the owner may be between retry
+      // attempts with the callback idle; stepping in would double-produce.
+      return !produce_claimed_ && !paused_ &&
+             OldestUnfetchedLocked() > next_produce_ - resident;
+    };
     while (next_produce_ <= step && !halted_.has_value() && running_) {
-      if (produce_claimed_ || paused_) {
-        // produce_claimed_ (not in_produce_): the owner may be between retry
-        // attempts with the callback idle; stepping in would double-produce.
-        cv_.wait(lock, [&] { return (!produce_claimed_ && !paused_) || !running_ ||
-                                    halted_.has_value() || step < next_produce_; });
-      } else {
+      if (may_produce()) {
         ProduceOne(lock);
+      } else {
+        cv_.wait(lock, [&] {
+          return may_produce() || !running_ || halted_.has_value() || step < next_produce_;
+        });
       }
     }
   } else {
@@ -266,6 +274,18 @@ int64_t PrefetchPipeline::ConsumptionFloorLocked() const {
     floor = std::min(floor, c);
   }
   return floor;
+}
+
+int64_t PrefetchPipeline::OldestUnfetchedLocked() const {
+  int64_t oldest = std::numeric_limits<int64_t>::max();
+  for (size_t rank = 0; rank < cursors_.size(); ++rank) {
+    int64_t needed = cursors_[rank];
+    if (inflight_claims_[rank] >= 0 && !claim_fetch_failed_[rank]) {
+      needed = std::min(needed, inflight_claims_[rank]);
+    }
+    oldest = std::min(oldest, needed);
+  }
+  return oldest;
 }
 
 void PrefetchPipeline::MaybeRetireLocked() {

@@ -35,6 +35,7 @@
 #ifndef SRC_API_PREFETCH_PIPELINE_H_
 #define SRC_API_PREFETCH_PIPELINE_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -56,6 +57,14 @@ namespace msd {
 
 class StepTracer;
 
+// Steps each DataConstructor keeps resident behind a pipeline of `depth`: the
+// whole live window plus the steps the cursor floor already retired while
+// their last fetch is still in flight. Building step s evicts every step at or
+// below s - ResidentStepsForDepth(depth).
+constexpr int64_t ResidentStepsForDepth(int32_t depth) {
+  return std::max<int64_t>(2, static_cast<int64_t>(depth) + 2);
+}
+
 // One fully produced step. The popped slices are retained (shared_ptr
 // aliases, never Sample copies) until retirement so a reshard can rebuild the
 // step's constructor data without re-popping loaders.
@@ -75,10 +84,11 @@ class PrefetchPipeline {
 
   struct Config {
     // Max steps live (produced or in production) ahead of retirement.
-    // 0 = synchronous: steps are produced inline on the consuming thread.
-    // Nothing then bounds how far one rank's pulls run ahead of another's,
-    // so depth-0 consumers must move in lockstep (all ranks per step, or a
-    // barrier between steps) to stay inside the constructors' resident window.
+    // 0 = synchronous: steps are produced inline on the consuming thread. A
+    // rank whose pull would produce a step that evicts one another rank has
+    // not fetched yet (see ResidentStepsForDepth) waits for that rank, so
+    // depth-0 consumers on separate threads may drift apart safely; a single
+    // thread must pull in lockstep (all ranks per step).
     int32_t depth = 2;
     // First step this pipeline produces/retires (job resume starts mid-
     // stream; a fresh session starts at 0).
@@ -278,6 +288,9 @@ class PrefetchPipeline {
   // done and fires the eager release once no fetch is awaited.
   void ResolvePendingReleaseLocked(int64_t step, int32_t rank, bool fetch_ok);
   int64_t ConsumptionFloorLocked() const;
+  // Oldest step some rank has yet to fetch: its claimed but undelivered step
+  // (unless that fetch already failed), else its cursor.
+  int64_t OldestUnfetchedLocked() const;
   Status HaltStatusLocked(int64_t step) const;
 
   Config config_;

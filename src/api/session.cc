@@ -421,17 +421,14 @@ Status Session::Initialize() {
     }
   }
 
-  // 4. One Data Constructor per DP group. The resident window must cover the
-  // whole prefetch pipeline plus the steps the cursor floor already retired
-  // while their last fetch is still in flight, or eviction could race
-  // consumption at high depths.
+  // 4. One Data Constructor per DP group, keeping the resident window the
+  // prefetch pipeline relies on: eviction must never race consumption.
   for (int32_t dp = 0; dp < options_.spec.dp; ++dp) {
     DataConstructorConfig config;
     config.constructor_id = dp;
     config.max_seq_len = options_.max_seq_len;
     config.max_decode_patches = options_.bound_pixel_decode ? options_.max_seq_len : 0;
-    config.resident_steps =
-        std::max<int64_t>(config.resident_steps, options_.prefetch_depth + 2);
+    config.resident_steps = ResidentStepsForDepth(options_.prefetch_depth);
     constructors_.push_back(system_.Spawn<DataConstructor>(config, &tree_, &memory_));
   }
 

@@ -78,7 +78,7 @@ std::shared_ptr<const std::string> BlockCache::ResidentLocked(Shard& shard,
     return nullptr;
   }
   Entry& entry = *it->second;
-  if (Fnv1a64(*entry.bytes) != entry.checksum) {
+  if (Xxh64(*entry.bytes) != entry.checksum) {
     // Bit rot (or a hostile test): drop the entry and read as a miss so the
     // caller re-fetches authoritative bytes. Attributed to the owner — it is
     // their copy that rotted, whoever asked.
@@ -145,7 +145,7 @@ std::shared_ptr<const std::string> BlockCache::Lookup(const BlockKey& key, IoTen
       bool corrupt = false;
       if (handle.ok()) {
         bytes = std::make_shared<const std::string>(handle->Contents());
-        verified = bytes->size() == meta.size && Fnv1a64(*bytes) == meta.checksum;
+        verified = bytes->size() == meta.size && Xxh64(*bytes) == meta.checksum;
         corrupt = !verified;
       }
       lock.lock();
@@ -202,7 +202,7 @@ void BlockCache::Insert(const BlockKey& key, std::shared_ptr<const std::string> 
       UnlinkLocked(shard, it->second);
     }
     shard.spilled.erase(flat);  // the fresh copy supersedes any spilled one
-    shard.lru.push_front(Entry{flat, bytes, Fnv1a64(*bytes), tenant});
+    shard.lru.push_front(Entry{flat, bytes, Xxh64(*bytes), tenant});
     shard.index[flat] = shard.lru.begin();
     shard.resident_bytes += static_cast<int64_t>(bytes->size());
     shard.tenants[tenant].resident_bytes += static_cast<int64_t>(bytes->size());

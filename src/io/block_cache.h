@@ -9,7 +9,7 @@
 //  - Sharded: the key hash picks a shard; each shard has its own mutex, LRU
 //    list, and slice of the memory budget, so concurrent loaders do not
 //    serialize on one lock.
-//  - Checksummed: every entry carries its FNV-1a at insert time and is
+//  - Checksummed: every entry carries its XXH64 at insert time and is
 //    re-verified on hit. A mismatch (bit rot, stray write) drops the entry,
 //    counts a corruption, and reads as a miss — the caller re-fetches from
 //    backing storage instead of serving poison.

@@ -76,7 +76,7 @@ void MsdfWriter::FlushGroup() {
   file_.append(current_group_);
   meta.bytes = static_cast<int64_t>(file_.size()) - meta.offset;
   meta.row_count = current_group_rows_;
-  meta.checksum = Fnv1a64(std::string_view(file_).substr(
+  meta.checksum = Xxh64(std::string_view(file_).substr(
       static_cast<size_t>(meta.offset), static_cast<size_t>(meta.bytes)));
   groups_.push_back(meta);
   current_group_.clear();
@@ -341,7 +341,7 @@ Result<std::vector<std::string>> MsdfReader::ReadRowGroup(size_t index) {
   if (!bytes.ok()) {
     return bytes.status();
   }
-  if (Fnv1a64(**bytes) != meta.checksum) {
+  if (Xxh64(**bytes) != meta.checksum) {
     // The bytes were damaged somewhere between the writer and here. In cached
     // mode the poison copy may be sitting in the block cache (a corruption
     // injected at Get time is checksummed as-is on insert, so the cache's own
@@ -354,7 +354,7 @@ Result<std::vector<std::string>> MsdfReader::ReadRowGroup(size_t index) {
         return bytes.status();
       }
     }
-    if (io_ == nullptr || Fnv1a64(**bytes) != meta.checksum) {
+    if (io_ == nullptr || Xxh64(**bytes) != meta.checksum) {
       return Status::DataLoss("row group " + std::to_string(index) + " of " + name_ +
                               ": checksum mismatch");
     }

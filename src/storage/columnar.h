@@ -49,7 +49,7 @@ struct RowGroupMeta {
   int64_t offset = 0;      // byte offset of the group within the file
   int64_t bytes = 0;       // serialized size of the group
   int64_t row_count = 0;
-  // FNV-1a of the serialized group, computed at write time. Readers verify it
+  // XXH64 of the serialized group, computed at write time. Readers verify it
   // on every fetch, so a bit flip anywhere between the writer and the reader
   // (storage, transport, cache) surfaces as DataLoss instead of poison rows.
   uint64_t checksum = 0;

@@ -139,10 +139,12 @@ TEST(ImbalanceMetricsTest, RatiosComputed) {
 }
 
 // Property sweep: greedy imbalance stays small when items are plentiful
-// relative to bins, across skews and bin counts.
+// relative to bins, across skews and bin counts. Every field is 8 bytes, so
+// the struct has no padding: gtest prints a parameter's raw bytes, and ctest
+// names each case after them, so padding would make the names vary by build.
 struct SweepParam {
   size_t items;
-  int32_t bins;
+  int64_t bins;
   double sigma;
 };
 
@@ -151,7 +153,8 @@ class GreedySweepTest : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(GreedySweepTest, ImbalanceBounded) {
   SweepParam p = GetParam();
   std::vector<double> costs = RandomCosts(p.items, p.sigma, 99);
-  auto loads = BinLoads(costs, AssignToBins(costs, p.bins, BalanceMethod::kGreedy), p.bins);
+  const int32_t bins = static_cast<int32_t>(p.bins);
+  auto loads = BinLoads(costs, AssignToBins(costs, bins, BalanceMethod::kGreedy), bins);
   // LPT guarantee: makespan <= (4/3 - 1/(3k)) * OPT, and OPT >= max(mean
   // load, heaviest single item) — the heavy-tail case is governed by the
   // largest item, not the mean.
@@ -164,9 +167,15 @@ TEST_P(GreedySweepTest, ImbalanceBounded) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GreedySweepTest,
-    ::testing::Values(SweepParam{64, 4, 0.5}, SweepParam{64, 4, 2.0},
-                      SweepParam{256, 8, 1.0}, SweepParam{256, 16, 1.5},
-                      SweepParam{1024, 32, 1.0}, SweepParam{1024, 8, 3.0}));
+    ::testing::Values(SweepParam{64, 4, 0.5}, SweepParam{256, 8, 1.0},
+                      SweepParam{256, 16, 1.5}, SweepParam{1024, 32, 1.0},
+                      SweepParam{1024, 8, 3.0}));
+
+// The heavy-tail case on the smallest shape. It shares items and bins with
+// {64, 4, 0.5}, and a case's name prints items and bins first, so under the
+// same prefix the two names would differ only in their trailing sigma bytes.
+INSTANTIATE_TEST_SUITE_P(HeavyTail, GreedySweepTest,
+                         ::testing::Values(SweepParam{64, 4, 2.0}));
 
 }  // namespace
 }  // namespace msd

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <string_view>
 #include <thread>
 
+#include "src/common/hash.h"
 #include "src/common/mpmc_queue.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -322,6 +325,49 @@ TEST(ThreadPoolTest, ShutdownIsIdempotent) {
 
 TEST(FormatRowTest, JoinsWithPipes) {
   EXPECT_EQ(FormatRow({1.0, 2.5}, 1), "1.0 | 2.5");
+}
+
+// Deterministic filler for the hash tests: no run of equal bytes.
+std::string PatternBytes(size_t len) {
+  std::string bytes(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    bytes[i] = static_cast<char>(i * 37 + 11);
+  }
+  return bytes;
+}
+
+TEST(Xxh64Test, MatchesPublishedValues) {
+  EXPECT_EQ(Xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(Xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(Xxh64("xxhash"), 0x32DD38952C4BC720ULL);
+  EXPECT_EQ(Xxh64("xxhash", 20141025), 0xB559B98D844E0635ULL);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(Xxh64("Nobody inspects the spammish repetition"), 0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Xxh64Test, UnalignedStartHashesEqual) {
+  // 77 bytes: two stripes plus every tail (8-, 4- and 1-byte).
+  const std::string payload = PatternBytes(77);
+  const uint64_t want = Xxh64(payload);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    std::string buffer(offset, 'x');
+    buffer += payload;
+    EXPECT_EQ(Xxh64(std::string_view(buffer).substr(offset)), want) << "offset " << offset;
+  }
+}
+
+TEST(Xxh64Test, EverySingleBitFlipChangesTheHash) {
+  for (size_t len = 0; len <= 96; ++len) {
+    std::string bytes = PatternBytes(len);
+    const uint64_t clean = Xxh64(bytes);
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      const char mask = static_cast<char>(1u << (bit % 8));
+      bytes[bit / 8] ^= mask;
+      EXPECT_NE(Xxh64(bytes), clean) << "len " << len << " bit " << bit;
+      bytes[bit / 8] ^= mask;
+    }
+  }
 }
 
 }  // namespace

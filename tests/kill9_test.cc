@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -154,28 +155,44 @@ TEST(Kill9IntegrationTest, ResumesByteIdenticallyAfterSigkill) {
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
   // Resume in a fresh session from whatever generation survived, and compare
-  // against an uninterrupted run at the same step numbers.
+  // against an uninterrupted run at the same step numbers. Each rank resumes
+  // at its own checkpointed cursor: an auto-checkpoint that lands between two
+  // ranks' pulls of one step leaves rank 0 a step ahead of rank 1.
   Session::Options resumed_options = JobOptions();
   resumed_options.resume_dir = ckpt_dir;
   auto resumed = Session::Create(resumed_options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  int64_t first_step = (*resumed)->client(0).value()->next_step();
-  ASSERT_GE(first_step, 1) << "resume must continue mid-stream, not restart";
-  ASSERT_LE(first_step, steps_done + 1)
+  const size_t world = static_cast<size_t>(resumed_options.spec.WorldSize());
+  std::vector<int64_t> resume_at(world);
+  for (size_t rank = 0; rank < world; ++rank) {
+    resume_at[rank] = (*resumed)->client(static_cast<int32_t>(rank)).value()->next_step();
+  }
+  ASSERT_GE(*std::min_element(resume_at.begin(), resume_at.end()), 1)
+      << "resume must continue mid-stream, not restart";
+  const int64_t last_resume = *std::max_element(resume_at.begin(), resume_at.end());
+  ASSERT_LE(last_resume, steps_done + 1)
       << "resume must not skip past the last step the child consumed";
 
+  // The uninterrupted run's batches for each rank's next three steps.
+  constexpr int64_t kCompared = 3;
   auto reference = Session::Create(JobOptions());
   ASSERT_TRUE(reference.ok());
-  for (int64_t s = 0; s < first_step; ++s) {
-    StreamStep(**reference);  // advance to the resume frontier
+  std::vector<std::vector<RankBatch>> want(world);
+  for (int64_t s = 0; s < last_resume + kCompared; ++s) {
+    std::vector<RankBatch> batches = StreamStep(**reference);
+    ASSERT_EQ(batches.size(), world);
+    for (size_t rank = 0; rank < world; ++rank) {
+      if (s >= resume_at[rank] && s < resume_at[rank] + kCompared) {
+        want[rank].push_back(std::move(batches[rank]));
+      }
+    }
   }
   int64_t pixels_seen = 0;
-  for (int s = 0; s < 3; ++s) {
+  for (int64_t s = 0; s < kCompared; ++s) {
     std::vector<RankBatch> got = StreamStep(**resumed);
-    std::vector<RankBatch> want = StreamStep(**reference);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t rank = 0; rank < got.size(); ++rank) {
-      ExpectBatchesIdentical(got[rank], want[rank]);
+    ASSERT_EQ(got.size(), world);
+    for (size_t rank = 0; rank < world; ++rank) {
+      ExpectBatchesIdentical(got[rank], want[rank][static_cast<size_t>(s)]);
       for (const Microbatch& mb : got[rank].microbatches) {
         for (const PackedSequence& seq : mb.sequences) {
           pixels_seen += seq.PixelCount();

@@ -6,8 +6,10 @@
 // step retirement, async pulls, and backpressure bounds.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/api/session.h"
@@ -146,6 +148,48 @@ TEST(PipelineEquivalenceTest, RecoveryDrainKeepsEquivalence) {
     for (int32_t rank = 0; rank < spec.WorldSize(); ++rank) {
       ExpectBatchesIdentical(streamed[static_cast<size_t>(rank)],
                              baseline[static_cast<size_t>(rank)]);
+    }
+  }
+}
+
+// At depth 0 the first rank to pull a step builds it inline, and building a
+// step evicts the one two behind it. A rank that runs ahead on its own thread
+// must wait for the slower rank instead of evicting steps that rank has not
+// fetched: both ranks still receive steps 0-3, byte-identical to depth 2.
+TEST(PipelineEquivalenceTest, DepthZeroRunawayRankWaitsForSlowerRank) {
+  Session::Options synchronous_options = PipelineOptions(0);
+  synchronous_options.spec = {.dp = 2, .pp = 1, .cp = 1, .tp = 1};
+  Session::Options stream_options = synchronous_options;
+  stream_options.prefetch_depth = 2;
+  auto synchronous = Session::Create(synchronous_options);
+  auto stream = Session::Create(stream_options);
+  ASSERT_TRUE(synchronous.ok()) << synchronous.status().ToString();
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+
+  constexpr int64_t kSteps = 4;
+  std::vector<std::vector<Result<RankBatch>>> pulled(2);
+  auto pull_all = [&](int32_t rank) {
+    DataClient* client = (*synchronous)->client(rank).value();
+    for (int64_t step = 0; step < kSteps; ++step) {
+      pulled[static_cast<size_t>(rank)].push_back(client->NextBatch());
+    }
+  };
+  // Rank 0 runs ahead alone until it has pulled every step or blocks waiting
+  // for rank 1 to fetch step 0; only then does rank 1 start pulling.
+  std::future<void> rank0 = std::async(std::launch::async, pull_all, 0);
+  rank0.wait_for(std::chrono::seconds(3));
+  std::thread rank1(pull_all, 1);
+  rank0.get();
+  rank1.join();
+
+  for (int64_t step = 0; step < kSteps; ++step) {
+    std::vector<RankBatch> want = StreamStep(**stream);
+    for (size_t rank = 0; rank < 2; ++rank) {
+      const Result<RankBatch>& got = pulled[rank][static_cast<size_t>(step)];
+      ASSERT_TRUE(got.ok()) << "rank " << rank << " pull " << step << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got->step, step);
+      ExpectBatchesIdentical(got.value(), want[rank]);
     }
   }
 }
